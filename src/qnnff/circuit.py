@@ -70,13 +70,11 @@ class SymbolicGate:
 
     kind: str
     qubits: tuple[int, ...]
-    source: object = None  # None (cnot), float, InputExpr, or ParamRef
+    source: object = None  # float, InputExpr, or ParamRef
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.kind == "cnot" and self.source is not None:
-            raise ArgumentError("cnot has no angle source")
-        if self.kind != "cnot" and self.source is None:
+        if self.source is None:
             raise ArgumentError(f"{self.kind} gate needs an angle source")
 
 
@@ -209,7 +207,10 @@ def assemble_qnn(encoding: EncodingSpec, ansatz: AnsatzSpec, depth: int) -> QnnT
 
 
 def bind(template: QnnTemplate, y: np.ndarray, theta: np.ndarray) -> list[BoundGate]:
-    """Substitute concrete features and parameters, yielding executable gates."""
+    """Substitute concrete features and parameters, yielding executable gates.
+    The angles come from the same lowering that every circuit run uses."""
+    from .gradients import _program  # gradients imports this module
+
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if y.shape != (template.num_features,):
@@ -220,19 +221,10 @@ def bind(template: QnnTemplate, y: np.ndarray, theta: np.ndarray) -> list[BoundG
         raise ArgumentError(
             f"expected {template.param_count} parameters, got shape {theta.shape}"
         )
-    index = {ref: i for i, ref in enumerate(template.param_refs)}
-    bound = []
-    for gate in template.gates:
-        src = gate.source
-        if src is None:
-            bound.append(BoundGate(gate.kind, gate.qubits))
-        elif isinstance(src, InputExpr):
-            bound.append(BoundGate(gate.kind, gate.qubits, src.value(y)))
-        elif isinstance(src, ParamRef):
-            bound.append(BoundGate(gate.kind, gate.qubits, theta[index[src]]))
-        else:
-            bound.append(BoundGate(gate.kind, gate.qubits, float(src)))
-    return bound
+    prog = _program(template)
+    angles = prog.angles(prog.input_values(y[None, :]), theta)
+    return [BoundGate(kind, qubits, np.ravel(angle)[0])
+            for kind, qubits, angle in zip(prog.kinds, prog.qubits, angles)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +278,7 @@ def _gate_to_dict(gate: SymbolicGate) -> dict:
         out["input"] = list(src.indices)
     elif isinstance(src, ParamRef):
         out["param"] = [src.layer, list(src.slot)]
-    elif src is not None:
+    else:
         out["const"] = float(src)
     return out
 

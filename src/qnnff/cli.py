@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -109,8 +110,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(args: argparse.Namespace) -> None:
-    """Mutate parsed args with key=value overrides from --config."""
+def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The option actions of one subcommand, by destination."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _flag_value(text: str) -> bool:
+    """Value of an on/off flag written in a config file."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def apply_config_file(args: argparse.Namespace,
+                      parser: argparse.ArgumentParser) -> None:
+    """Mutate parsed args with key=value overrides from --config, each value
+    converted and checked the way its flag would be on the command line."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -119,6 +140,7 @@ def apply_config_file(args: argparse.Namespace) -> None:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    actions = _option_actions(parser, args.command)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,19 +148,21 @@ def apply_config_file(args: argparse.Namespace) -> None:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ArgumentError(f"{path}:{lineno}: unknown option {key!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            parsed = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            parsed = int(value)
-        elif isinstance(current, float):
-            parsed = float(value)
-        else:
-            parsed = value
-        setattr(args, dest, parsed)
+        convert = _flag_value if action.nargs == 0 else (action.type or str)
+        try:
+            parsed = convert(value)
+        except ValueError as exc:
+            raise ArgumentError(
+                f"{path}:{lineno}: invalid value {value!r} for {key!r}"
+            ) from exc
+        if action.choices is not None and parsed not in action.choices:
+            raise ArgumentError(
+                f"{path}:{lineno}: {key!r} must be one of "
+                f"{', '.join(map(str, action.choices))}, got {value!r}")
+        setattr(args, action.dest, parsed)
 
 
 def _out_prefix(args, fallback: str) -> str:
@@ -229,26 +253,16 @@ def _train_mlp(preset, args, train_set, validation, chi, config):
         r = f - labels
         return float(np.mean(r ** 2)), (2.0 / r.size) * (d_params.T @ r)
 
-    import time
-
     started = time.monotonic()
+    evals0 = gradients.counter.total
     theta, losses, epochs, converged = train.adam_minimize(
         value_and_grad, theta0, config)
     ff = baseline.MlpForceField(spec, pipeline, theta, scale, offset,
                                 encoding=enc,
                                 metadata={"preset": preset.name,
                                           "family": "mlp"})
-    tr_e, tr_f = train.evaluate_rmse(ff, train_set)
-    va_e = va_f = None
-    if validation is not None:
-        va_e, va_f = train.evaluate_rmse(ff, validation)
-    report = train.TrainReport(
-        losses=losses, epochs=epochs, converged=converged,
-        train_rmse_energy=tr_e, train_rmse_forces=tr_f,
-        val_rmse_energy=va_e, val_rmse_forces=va_f,
-        wall_time=time.monotonic() - started, circuit_evals=0,
-        optimizer="adam")
-    return ff, report
+    return ff, train.fit_report(ff, train_set, validation, losses, epochs,
+                                converged, started, evals0, "adam")
 
 
 def cmd_eval(args) -> None:
@@ -389,7 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_config_file(args)
+        apply_config_file(args, parser)
         args.func(args)
     except ArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)

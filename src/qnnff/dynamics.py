@@ -77,7 +77,10 @@ class Trajectory:
 
 
 def velocity_verlet_run(force_provider, config: MdConfig) -> Trajectory:
-    """Integrate Newton's equations with the Velocity Verlet scheme."""
+    """Integrate Newton's equations with the Velocity Verlet scheme.
+
+    Raises ``NumericalError`` naming the step at which the provider fails or
+    returns a non-finite energy or force."""
     n = config.steps
     x = config.x0.copy()
     v = config.v0.copy()
@@ -90,22 +93,25 @@ def velocity_verlet_run(force_provider, config: MdConfig) -> Trajectory:
     def kin(vel):
         return 0.5 * float(m @ vel ** 2) * AMU_ANG2_FS2_IN_EV
 
-    try:
-        epot, forces = force_provider(x)
-    except Exception as exc:
-        raise NumericalError(f"force evaluation failed at step 0: {exc}") from exc
+    def evaluate(pos, step):
+        try:
+            epot, forces = force_provider(pos)
+        except Exception as exc:
+            raise NumericalError(
+                f"force evaluation failed at step {step}: {exc}"
+            ) from exc
+        if not (np.isfinite(epot) and np.all(np.isfinite(forces))):
+            raise NumericalError(f"non-finite energy or forces at step {step}")
+        return epot, forces
+
+    epot, forces = evaluate(x, 0)
     acc = forces / (m * AMU_ANG2_FS2_IN_EV)
     positions[0], velocities[0] = x, v
     potential[0], kinetic[0] = epot, kin(v)
     dt = config.dt
     for step in range(1, n + 1):
         x = x + v * dt + 0.5 * acc * dt * dt
-        try:
-            epot, forces = force_provider(x)
-        except Exception as exc:
-            raise NumericalError(
-                f"force evaluation failed at step {step}: {exc}"
-            ) from exc
+        epot, forces = evaluate(x, step)
         new_acc = forces / (m * AMU_ANG2_FS2_IN_EV)
         v = v + 0.5 * (acc + new_acc) * dt
         acc = new_acc

@@ -14,30 +14,31 @@ factor d(mu)/d(angle): 1 for ry, 2 for multiz (which turns the shift into
 the gate's product expression; second derivatives nest two shifts with the
 [++ - +- - -+ + --]/4 pattern.
 
-All shifted circuits for one gradient call are evaluated in a single batched
-statevector run; samples fan out along the batch axis with a deterministic
-ordered reduction.
+One engine runs every circuit: ``_Program`` lowers a template to a gate list
+plus the sources of its angle table, ``_run`` forms the angle rows of each
+chunk (base angles, with one shifted column per level of the shift rule) and
+runs them through the ``statevec`` gate loop under one memory budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .circuit import InputExpr, ParamRef, QnnTemplate
 from .errors import ArgumentError
-from .statevec import _apply_kind, _expectation_z_raw
+from .statevec import _expectation_z_raw, apply_gates
 
 # (shift on the raw angle, coefficient on the difference) per gate kind
-_SHIFT = {"ry": (np.pi / 2, 0.5), "rz": (np.pi / 2, 0.5), "multiz": (np.pi / 4, 1.0)}
+_SHIFT = {"ry": (np.pi / 2, 0.5), "multiz": (np.pi / 4, 1.0)}
 
 OBSERVABLE_QUBIT = 0
 
-# Rows per executed chunk are limited so batched gradient calls stay inside a
-# fixed memory budget regardless of dataset size.
-_MAX_CHUNK_AMPS = 1 << 21
+# Bytes of amplitude rows plus angle rows one executed chunk may hold, so
+# every circuit call stays inside a fixed memory budget whatever its size.
+_CHUNK_BYTES = 1 << 26
 
 
 @dataclass
@@ -56,43 +57,103 @@ class EvalCounter:
 counter = EvalCounter()
 
 
-@dataclass
-class GradientReport:
-    value: float
-    d_params: np.ndarray
-    d_inputs: np.ndarray
-    mixed_hessian: np.ndarray | None = None
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
 
 
 class _Program:
-    """Template lowered to a flat record list ready for batched execution."""
+    """Template lowered to a gate list plus the sources of its angle table.
+
+    Gate ``g`` applies ``kinds[g]`` to ``qubits[g]``.  Its angle is
+    ``theta[param[g]]`` for a trainable gate, the input monomial of occurrence
+    ``o`` (``input_cols[o] == g``) for an encoding gate, and ``const[g]``
+    otherwise; ``shift[g]`` and ``coef[g]`` are its shift-rule constants.
+    """
 
     def __init__(self, template: QnnTemplate):
         self.num_qubits = template.num_qubits
+        gates = template.gates
+        self.kinds = tuple(g.kind for g in gates)
+        self.qubits = tuple(g.qubits for g in gates)
+        for kind in self.kinds:
+            if kind not in _SHIFT:
+                raise ArgumentError(f"unknown gate kind {kind!r}")
+        self.shift, self.coef = np.array([_SHIFT[k] for k in self.kinds]).T
         index = {ref: i for i, ref in enumerate(template.param_refs)}
-        self.records: list[tuple[str, tuple[int, ...], str, object]] = []
-        self.param_pos: list[int] = [-1] * template.param_count
-        self.param_kind: list[str] = [""] * template.param_count
-        self.input_occurrences: list[tuple[int, InputExpr]] = []
-        for pos, gate in enumerate(template.gates):
+        self.param = np.full(len(gates), -1)
+        self.param_cols = np.empty(template.param_count, dtype=int)
+        self.const = np.zeros(len(gates))
+        exprs = []
+        for g, gate in enumerate(gates):
             src = gate.source
-            if src is None:
-                self.records.append((gate.kind, gate.qubits, "const", 0.0))
-            elif isinstance(src, InputExpr):
-                self.records.append((gate.kind, gate.qubits, "input", src))
-                self.input_occurrences.append((pos, src))
+            if isinstance(src, InputExpr):
+                exprs.append((g, src.indices))
             elif isinstance(src, ParamRef):
-                p = index[src]
-                self.records.append((gate.kind, gate.qubits, "param", p))
-                self.param_pos[p] = pos
-                self.param_kind[p] = gate.kind
+                self.param[g] = index[src]
+                self.param_cols[index[src]] = g
             else:
-                self.records.append((gate.kind, gate.qubits, "const", float(src)))
+                self.const[g] = float(src)
+        self.input_cols = np.array([g for g, _ in exprs], dtype=int)
+        # Feature indices of each monomial, and of each of its partial
+        # derivatives, padded with index n, which points at a column of ones.
+        n = template.num_features
+        width = max((len(ix) for _, ix in exprs), default=1)
+        self.factors = np.full((len(exprs), width), n)
+        self.others = np.full((len(exprs), n, width - 1), n)
+        self.member = np.zeros((len(exprs), n))
+        for o, (_, ix) in enumerate(exprs):
+            self.factors[o, :len(ix)] = ix
+            for j in ix:
+                rest = [k for k in ix if k != j]
+                self.others[o, j, :len(rest)] = rest
+                self.member[o, j] = 1.0
 
-    def input_values(self, features: np.ndarray) -> list[np.ndarray]:
-        """Per input occurrence, the bound angle for every sample row."""
-        return [np.prod(features[:, list(expr.indices)], axis=1)
-                for _, expr in self.input_occurrences]
+    def input_values(self, features: np.ndarray) -> np.ndarray:
+        """Bound angle of every input occurrence for every sample, (B, m)."""
+        return np.prod(_with_ones(features)[:, self.factors], axis=2)
+
+    def input_partials(self, features: np.ndarray) -> np.ndarray:
+        """d(angle of occurrence o)/d y_j for every sample, (B, m, n)."""
+        return np.prod(_with_ones(features)[:, self.others], axis=3) * self.member
+
+    def row_cols(self, levels) -> np.ndarray:
+        """Gate columns whose angle varies by row: the inputs, in occurrence
+        order, then the other shifted gates."""
+        shifted = np.concatenate((self.input_cols,) + tuple(levels))
+        return np.concatenate([self.input_cols,
+                               np.setdiff1d(shifted, self.input_cols)])
+
+    def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
+               levels=()) -> list:
+        """Angle of every gate over a block of rows.
+
+        ``idx`` gives each row's sample and, per level, its shifted column
+        position and sign (0 for +, 1 for -), as ``np.unravel_index`` returns
+        them over the shape (samples, len(level_1), 2, len(level_2), 2, ...);
+        by default the rows are the samples, unshifted.  Input and shifted
+        columns come back as (rows,) arrays, every other angle as a scalar.
+        """
+        sample = np.arange(values.shape[0]) if idx is None else idx[0]
+        base = self.const.copy()
+        trained = self.param >= 0
+        base[trained] = theta[self.param[trained]]
+        cols = self.row_cols(levels)
+        pos = np.empty(len(base), dtype=int)
+        pos[cols] = np.arange(len(cols))
+        m = len(self.input_cols)
+        table = np.empty((len(cols), sample.size))
+        table[m:] = base[cols[m:], None]
+        # mode="clip" gathers straight into the table; "raise" would buffer
+        np.take(values.T, sample, axis=1, out=table[:m], mode="clip")
+        rows = np.arange(sample.size)
+        for depth, level in enumerate(levels):
+            col = level[idx[1 + 2 * depth]]
+            sign = 1.0 - 2.0 * idx[2 + 2 * depth]
+            table[pos[col], rows] += sign * self.shift[col]
+        angles = list(base)
+        for k, g in enumerate(cols):
+            angles[g] = table[k]
+        return angles
 
 
 @lru_cache(maxsize=64)
@@ -100,20 +161,48 @@ def _program(template: QnnTemplate) -> _Program:
     return _Program(template)
 
 
+def _zero_states(rows: int, num_qubits: int) -> np.ndarray:
+    amps = np.zeros((rows, 1 << num_qubits), dtype=complex)
+    amps[:, 0] = 1.0
+    return amps
+
+
 def _execute(prog: _Program, angles: list, rows: int) -> np.ndarray:
     """Run the program over `rows` circuits; angles are scalars or (rows,) arrays."""
-    dim = 1 << prog.num_qubits
+    # no reference to |0...0> stays here, so the gate loop can free it
+    amps = apply_gates(_zero_states(rows, prog.num_qubits), prog.num_qubits,
+                       zip(prog.kinds, prog.qubits, angles))
+    return _expectation_z_raw(amps, prog.num_qubits, OBSERVABLE_QUBIT)
+
+
+def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels) -> np.ndarray:
+    """Circuit outputs for every sample, differentiated once per level.
+
+    A level is an array of gate columns.  For each column c the circuit runs
+    with angle_c + shift_c and angle_c - shift_c, and the pair combines as
+    coef_c * (f(+) - f(-)); levels nest, the first outermost.  The result
+    has shape (samples, len(level_1), len(level_2), ...).  Rows run in
+    chunks under ``_CHUNK_BYTES``, and a chunk's angle rows are formed only
+    when it runs.
+    """
+    shape = (values.shape[0],) + tuple(k for lv in levels for k in (len(lv), 2))
+    rows = int(np.prod(shape))
+    per_row = (16 << prog.num_qubits) + 8 * len(prog.row_cols(levels))
+    chunk = max(1, _CHUNK_BYTES // per_row)
     out = np.empty(rows)
-    chunk = max(1, _MAX_CHUNK_AMPS // dim)
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
-        amps = np.zeros((stop - start, dim), dtype=complex)
-        amps[:, 0] = 1.0
-        for (kind, qubits, _, _), ang in zip(prog.records, angles):
-            if isinstance(ang, np.ndarray):
-                ang = ang[start:stop]
-            amps = _apply_kind(amps, prog.num_qubits, kind, qubits, ang)
-        out[start:stop] = _expectation_z_raw(amps, prog.num_qubits, OBSERVABLE_QUBIT)
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        # built inline, so a chunk's angle rows are freed when its run ends
+        out[lo:hi] = _execute(
+            prog, prog.angles(values, theta,
+                              np.unravel_index(np.arange(lo, hi), shape), levels),
+            hi - lo)
+    counter.total += rows
+    out = out.reshape(shape)
+    for depth in reversed(range(len(levels))):
+        plus, minus = np.moveaxis(out, 2 + 2 * depth, 0)
+        coef = prog.coef[levels[depth]]
+        out = coef.reshape(coef.shape + (1,) * (len(levels) - 1 - depth)) * (plus - minus)
     return out
 
 
@@ -135,31 +224,12 @@ def _check_theta(template: QnnTemplate, theta) -> np.ndarray:
     return theta
 
 
-def _base_angles(prog: _Program, values: list[np.ndarray], theta: np.ndarray,
-                 repeat: int) -> list:
-    """Angle per record; sample-bound inputs are repeated for shift variants."""
-    angles: list = []
-    occ = iter(values)
-    for kind, qubits, stype, payload in prog.records:
-        if stype == "input":
-            vals = next(occ)
-            angles.append(np.repeat(vals, repeat) if repeat > 1 else vals)
-        elif stype == "param":
-            angles.append(theta[payload])
-        else:
-            angles.append(payload)
-    return angles
-
-
 def eval_qnn_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     """Model output <Z_0> for each feature row."""
     feats = _as_feature_matrix(template, features)
     theta = _check_theta(template, theta)
     prog = _program(template)
-    angles = _base_angles(prog, prog.input_values(feats), theta, repeat=1)
-    out = _execute(prog, angles, feats.shape[0])
-    counter.total += feats.shape[0]
-    return out
+    return _run(prog, prog.input_values(feats), theta)
 
 
 def eval_qnn(template: QnnTemplate, y, theta) -> float:
@@ -167,40 +237,14 @@ def eval_qnn(template: QnnTemplate, y, theta) -> float:
     return float(eval_qnn_batch(template, np.asarray(y, dtype=float)[None, :], theta)[0])
 
 
-def _sample_chunks(num_samples: int, variants: int):
-    per = max(1, (1 << 16) // max(variants, 1))
-    for start in range(0, num_samples, per):
-        yield start, min(start + per, num_samples)
-
-
 def grad_params_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     """Shift-rule gradient d f / d theta, one row per sample; 2d runs each."""
     feats = _as_feature_matrix(template, features)
     theta = _check_theta(template, theta)
     prog = _program(template)
-    d = template.param_count
-    out = np.empty((feats.shape[0], d))
-    for lo, hi in _sample_chunks(feats.shape[0], 2 * d):
-        out[lo:hi] = _grad_params_block(prog, feats[lo:hi], theta, d)
-    counter.grad_params += feats.shape[0] * 2 * d
-    counter.total += feats.shape[0] * 2 * d
+    out = _run(prog, prog.input_values(feats), theta, prog.param_cols)
+    counter.grad_params += 2 * out.size
     return out
-
-
-def _grad_params_block(prog: _Program, feats: np.ndarray, theta: np.ndarray,
-                       d: int) -> np.ndarray:
-    b = feats.shape[0]
-    rows = b * 2 * d
-    angles = _base_angles(prog, prog.input_values(feats), theta, repeat=2 * d)
-    for p in range(d):
-        shift, _ = _SHIFT[prog.param_kind[p]]
-        arr = np.full((b, 2 * d), theta[p])
-        arr[:, 2 * p] += shift
-        arr[:, 2 * p + 1] -= shift
-        angles[prog.param_pos[p]] = arr.ravel()
-    f = _execute(prog, angles, rows).reshape(b, d, 2)
-    coef = np.array([_SHIFT[k][1] for k in prog.param_kind])
-    return coef * (f[:, :, 0] - f[:, :, 1])
 
 
 def grad_params(template: QnnTemplate, y, theta) -> np.ndarray:
@@ -213,151 +257,32 @@ def grad_inputs_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     feats = _as_feature_matrix(template, features)
     theta = _check_theta(template, theta)
     prog = _program(template)
-    m = len(prog.input_occurrences)
-    out = np.empty((feats.shape[0], template.num_features))
-    for lo, hi in _sample_chunks(feats.shape[0], 2 * m):
-        out[lo:hi] = _grad_inputs_block(prog, template, feats[lo:hi], theta, m)
-    counter.grad_inputs += feats.shape[0] * 2 * m
-    counter.total += feats.shape[0] * 2 * m
-    return out
-
-
-def _grad_inputs_block(prog: _Program, template: QnnTemplate, feats: np.ndarray,
-                       theta: np.ndarray, m: int) -> np.ndarray:
-    b = feats.shape[0]
-    values = prog.input_values(feats)
-    angles = _base_angles(prog, values, theta, repeat=2 * m)
-    for o, (pos, _) in enumerate(prog.input_occurrences):
-        kind = prog.records[pos][0]
-        shift, _ = _SHIFT[kind]
-        arr = np.repeat(values[o], 2 * m).reshape(b, 2 * m)
-        arr[:, 2 * o] += shift
-        arr[:, 2 * o + 1] -= shift
-        angles[pos] = arr.ravel()
-    f = _execute(prog, angles, b * 2 * m).reshape(b, m, 2)
-    occ_coef = np.array([_SHIFT[prog.records[pos][0]][1]
-                         for pos, _ in prog.input_occurrences])
-    d_occ = occ_coef * (f[:, :, 0] - f[:, :, 1])  # (b, m)
-    grad = np.zeros((b, template.num_features))
-    for o, (_, expr) in enumerate(prog.input_occurrences):
-        for j in expr.indices:
-            chain = np.prod(feats[:, [k for k in expr.indices if k != j]], axis=1)
-            grad[:, j] += chain * d_occ[:, o]
-    return grad
+    d_occ = _run(prog, prog.input_values(feats), theta, prog.input_cols)
+    counter.grad_inputs += 2 * d_occ.size
+    return np.einsum("bo,boj->bj", d_occ, prog.input_partials(feats))
 
 
 def grad_inputs(template: QnnTemplate, y, theta) -> np.ndarray:
     return grad_inputs_batch(template, np.asarray(y, dtype=float)[None, :], theta)[0]
 
 
-def mixed_hessian(template: QnnTemplate, y, theta,
-                  literal_input_shift: bool = False) -> np.ndarray:
+def mixed_hessian(template: QnnTemplate, y, theta) -> np.ndarray:
     """d^2 f / d theta_p d y_j via nested shifts, shape (d, num_features).
 
-    The default path shifts each (parameter gate, encoding occurrence) pair
-    independently and applies the product-expression chain factor, which is
-    exact under re-uploading.  ``literal_input_shift=True`` instead shifts the
-    whole feature vector by +-pi/2 along each axis, treating every feature as
-    if it entered a single half-angle rotation; this is only exact when that
-    is actually the case and is provided for comparison.
+    Each (parameter gate, encoding occurrence) pair is shifted independently
+    and weighted by the product-expression chain factor, which is exact under
+    re-uploading.
     """
     y = np.asarray(y, dtype=float)
     theta = _check_theta(template, theta)
     if y.shape != (template.num_features,):
         raise ArgumentError(f"expected {template.num_features} features")
     prog = _program(template)
-    if literal_input_shift:
-        return _mixed_hessian_literal(prog, template, y, theta)
-    return _mixed_hessian_exact(prog, template, y, theta)
-
-
-def _mixed_hessian_exact(prog: _Program, template: QnnTemplate,
-                         y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    d = template.param_count
-    m = len(prog.input_occurrences)
-    n = template.num_features
-    variants = d * m * 4
-    values = [v[0] for v in prog.input_values(y[None, :])]
-    angles: list = []
-    occ_index = {pos: o for o, (pos, _) in enumerate(prog.input_occurrences)}
-    for pos, (kind, qubits, stype, payload) in enumerate(prog.records):
-        if stype == "param":
-            p = payload
-            shift, _ = _SHIFT[kind]
-            arr = np.full((d, m, 2, 2), theta[p])
-            arr[p, :, 0, :] += shift
-            arr[p, :, 1, :] -= shift
-            angles.append(arr.ravel())
-        elif stype == "input":
-            o = occ_index[pos]
-            shift, _ = _SHIFT[kind]
-            arr = np.full((d, m, 2, 2), values[o])
-            arr[:, o, :, 0] += shift
-            arr[:, o, :, 1] -= shift
-            angles.append(arr.ravel())
-        else:
-            angles.append(payload)
-    f = _execute(prog, angles, variants).reshape(d, m, 2, 2)
-    counter.hessian += variants
-    counter.total += variants
-    core = f[:, :, 0, 0] - f[:, :, 0, 1] - f[:, :, 1, 0] + f[:, :, 1, 1]
-    p_coef = np.array([_SHIFT[k][1] for k in prog.param_kind])
-    o_coef = np.array([_SHIFT[prog.records[pos][0]][1]
-                       for pos, _ in prog.input_occurrences])
-    core = p_coef[:, None] * o_coef[None, :] * core  # d^2 f / d theta d angle_o
-    hess = np.zeros((d, n))
-    for o, (_, expr) in enumerate(prog.input_occurrences):
-        for j in expr.indices:
-            hess[:, j] += expr.partial(j, y) * core[:, o]
-    return hess
-
-
-def _mixed_hessian_literal(prog: _Program, template: QnnTemplate,
-                           y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    d = template.param_count
-    n = template.num_features
-    variants = d * n * 4
-    angles: list = []
-    shifted_values = {}
-    for j in range(n):
-        for s, delta in ((0, np.pi / 2), (1, -np.pi / 2)):
-            yj = y.copy()
-            yj[j] += delta
-            shifted_values[j, s] = [v[0] for v in prog.input_values(yj[None, :])]
-    occ_index = {pos: o for o, (pos, _) in enumerate(prog.input_occurrences)}
-    for pos, (kind, qubits, stype, payload) in enumerate(prog.records):
-        if stype == "param":
-            p = payload
-            shift, _ = _SHIFT[kind]
-            arr = np.full((d, n, 2, 2), theta[p])
-            arr[p, :, 0, :] += shift
-            arr[p, :, 1, :] -= shift
-            angles.append(arr.ravel())
-        elif stype == "input":
-            o = occ_index[pos]
-            arr = np.empty((d, n, 2, 2))
-            for j in range(n):
-                arr[:, j, :, 0] = shifted_values[j, 0][o]
-                arr[:, j, :, 1] = shifted_values[j, 1][o]
-            angles.append(arr.ravel())
-        else:
-            angles.append(payload)
-    f = _execute(prog, angles, variants).reshape(d, n, 2, 2)
-    counter.hessian += variants
-    counter.total += variants
-    core = f[:, :, 0, 0] - f[:, :, 0, 1] - f[:, :, 1, 0] + f[:, :, 1, 1]
-    p_coef = np.array([_SHIFT[k][1] for k in prog.param_kind])
-    return p_coef[:, None] * 0.5 * core
-
-
-def gradient_report(template: QnnTemplate, y, theta,
-                    with_hessian: bool = False) -> GradientReport:
-    return GradientReport(
-        value=eval_qnn(template, y, theta),
-        d_params=grad_params(template, y, theta),
-        d_inputs=grad_inputs(template, y, theta),
-        mixed_hessian=mixed_hessian(template, y, theta) if with_hessian else None,
-    )
+    feats = y[None, :]
+    core = _run(prog, prog.input_values(feats), theta,
+                prog.param_cols, prog.input_cols)[0]
+    counter.hessian += 4 * core.size
+    return core @ prog.input_partials(feats)[0]
 
 
 def qnn_param_grad_fn(template: QnnTemplate):

@@ -14,7 +14,9 @@ so energy and force predictions are consistent by construction.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +146,20 @@ def save_checkpoint(model, path) -> None:
         "energy_offset": float(model.energy_offset),
         "metadata": dict(model.metadata),
     })
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    # Serialise into a temporary file beside the target and rename it over
+    # the target, so a failed save leaves any earlier checkpoint intact.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -4,11 +4,9 @@ Conventions (fixed for reproducibility, checked by the test suite):
 
 * Little-endian ordering: qubit ``q`` is bit ``q`` of the basis-state
   index, so ``|q1 q0> = |01>`` is index 1 for ``q0 = 1``.
-* ``ry(phi) = exp(-i phi sigma_y / 2)`` and ``rz(phi) = exp(-i phi sigma_z / 2)``
-  (half-angle convention).
+* ``ry(phi) = exp(-i phi sigma_y / 2)`` (half-angle convention).
 * ``multiz(phi)`` on qubits ``(j1 .. jk)`` is ``exp(-i phi Z_{j1} ... Z_{jk})``
-  with a *full* angle (no 1/2 factor).  Its CNOT-ladder decomposition therefore
-  carries ``rz(2 phi)``.
+  with a *full* angle (no 1/2 factor).
 
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
@@ -26,7 +24,7 @@ from .errors import ArgumentError, CapacityError
 
 MAX_QUBITS = 24
 
-GATE_KINDS = ("ry", "rz", "cnot", "multiz")
+GATE_KINDS = ("ry", "multiz")
 
 
 @dataclass(frozen=True)
@@ -46,31 +44,17 @@ class BoundGate:
             raise ArgumentError(f"repeated qubit index in {qubits}")
         if any(q < 0 for q in qubits):
             raise ArgumentError(f"negative qubit index in {qubits}")
-        if self.kind in ("ry", "rz") and len(qubits) != 1:
-            raise ArgumentError(f"{self.kind} acts on exactly 1 qubit, got {qubits}")
-        if self.kind == "cnot":
-            if len(qubits) != 2:
-                raise ArgumentError(f"cnot acts on exactly 2 qubits, got {qubits}")
-            if self.angle is not None:
-                raise ArgumentError("cnot takes no angle")
-        elif len(qubits) < 1:
+        if self.kind == "ry" and len(qubits) != 1:
+            raise ArgumentError(f"ry acts on exactly 1 qubit, got {qubits}")
+        if len(qubits) < 1:
             raise ArgumentError(f"{self.kind} needs at least 1 qubit")
-        if self.kind != "cnot":
-            if self.angle is None:
-                raise ArgumentError(f"{self.kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
+        if self.angle is None:
+            raise ArgumentError(f"{self.kind} requires an angle")
+        object.__setattr__(self, "angle", float(self.angle))
 
 
 def ry(qubit: int, angle: float) -> BoundGate:
     return BoundGate("ry", (qubit,), angle)
-
-
-def rz(qubit: int, angle: float) -> BoundGate:
-    return BoundGate("rz", (qubit,), angle)
-
-
-def cnot(control: int, target: int) -> BoundGate:
-    return BoundGate("cnot", (control, target))
 
 
 def multiz(qubits: tuple[int, ...], angle: float) -> BoundGate:
@@ -115,13 +99,6 @@ def init_zero(num_qubits: int) -> StateVector:
 # that is either a scalar or an array matching the leading axes.
 
 @lru_cache(maxsize=256)
-def _cnot_source(num_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    flipped = idx ^ (1 << target)
-    return np.where(((idx >> control) & 1).astype(bool), flipped, idx)
-
-
-@lru_cache(maxsize=256)
 def _zstring_signs(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Eigenvalue (+1/-1) of the Z-string on each basis state."""
     idx = np.arange(1 << num_qubits)
@@ -129,11 +106,6 @@ def _zstring_signs(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     for q in qubits:
         parity ^= (idx >> q) & 1
     return (1 - 2 * parity).astype(float)
-
-
-@lru_cache(maxsize=64)
-def _single_z_signs(num_qubits: int, qubit: int) -> np.ndarray:
-    return _zstring_signs(num_qubits, (qubit,))
 
 
 def _expand(angle, extra_axes: int):
@@ -156,20 +128,6 @@ def _apply_ry(amps: np.ndarray, num_qubits: int, qubit: int, angle) -> np.ndarra
     return out.reshape(amps.shape)
 
 
-def _apply_rz(amps: np.ndarray, num_qubits: int, qubit: int, angle) -> np.ndarray:
-    lead = amps.shape[:-1]
-    shaped = amps.reshape(lead + (1 << (num_qubits - 1 - qubit), 2, 1 << qubit))
-    phase = np.exp(-0.5j * _expand(angle, 2))
-    out = np.empty_like(shaped)
-    out[..., 0, :] = phase * shaped[..., 0, :]
-    out[..., 1, :] = np.conj(phase) * shaped[..., 1, :]
-    return out.reshape(amps.shape)
-
-
-def _apply_cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> np.ndarray:
-    return amps[..., _cnot_source(num_qubits, control, target)]
-
-
 def _apply_multiz(amps: np.ndarray, num_qubits: int, qubits: tuple[int, ...], angle) -> np.ndarray:
     signs = _zstring_signs(num_qubits, tuple(sorted(qubits)))
     ang = np.asarray(angle, dtype=float)
@@ -188,17 +146,13 @@ def _apply_kind(amps: np.ndarray, num_qubits: int, kind: str,
                 qubits: tuple[int, ...], angle) -> np.ndarray:
     if kind == "ry":
         return _apply_ry(amps, num_qubits, qubits[0], angle)
-    if kind == "rz":
-        return _apply_rz(amps, num_qubits, qubits[0], angle)
-    if kind == "cnot":
-        return _apply_cnot(amps, num_qubits, qubits[0], qubits[1])
     if kind == "multiz":
         return _apply_multiz(amps, num_qubits, qubits, angle)
     raise ArgumentError(f"unknown gate kind {kind!r}")
 
 
 def _expectation_z_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    signs = _single_z_signs(num_qubits, qubit)
+    signs = _zstring_signs(num_qubits, (qubit,))
     return (signs * (amps.real ** 2 + amps.imag ** 2)).sum(axis=-1)
 
 
@@ -213,37 +167,30 @@ def _check_qubits(state: StateVector, qubits: tuple[int, ...]) -> None:
             )
 
 
-def apply_gate(state: StateVector, gate: BoundGate) -> StateVector:
-    """Apply one gate, returning the transformed state."""
-    _check_qubits(state, gate.qubits)
-    amps = _apply_kind(state.amplitudes, state.num_qubits, gate.kind,
-                       gate.qubits, gate.angle)
-    return StateVector(state.num_qubits, amps)
+def apply_gates(amps: np.ndarray, num_qubits: int, gates) -> np.ndarray:
+    """The gate loop behind every circuit run: apply ``(kind, qubits, angle)``
+    triples left to right to amplitudes shaped (..., 2**n)."""
+    for kind, qubits, angle in gates:
+        amps = _apply_kind(amps, num_qubits, kind, qubits, angle)
+    return amps
 
 
 def run_circuit(state: StateVector, gates) -> StateVector:
     """Apply a gate sequence left to right."""
-    amps = state.amplitudes
+    gates = list(gates)
     for gate in gates:
         _check_qubits(state, gate.qubits)
-        amps = _apply_kind(amps, state.num_qubits, gate.kind, gate.qubits, gate.angle)
+    amps = apply_gates(state.amplitudes, state.num_qubits,
+                       ((g.kind, g.qubits, g.angle) for g in gates))
     return StateVector(state.num_qubits, amps)
+
+
+def apply_gate(state: StateVector, gate: BoundGate) -> StateVector:
+    """Apply one gate, returning the transformed state."""
+    return run_circuit(state, [gate])
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """Exact <Z> on one qubit (no sampling)."""
     _check_qubits(state, (qubit,))
     return float(_expectation_z_raw(state.amplitudes, state.num_qubits, qubit))
-
-
-def multiz_ladder(gate: BoundGate) -> list[BoundGate]:
-    """Decompose a multiz gate into a CNOT ladder around ``rz(2 phi)``.
-
-    exp(-i phi Z...Z) = ladder . rz(2 phi) . ladder^-1; both realizations
-    must agree amplitude-by-amplitude.
-    """
-    if gate.kind != "multiz":
-        raise ArgumentError(f"expected a multiz gate, got {gate.kind!r}")
-    qs = gate.qubits
-    ladder = [cnot(qs[i], qs[i + 1]) for i in range(len(qs) - 1)]
-    return ladder + [rz(qs[-1], 2.0 * gate.angle)] + ladder[::-1]

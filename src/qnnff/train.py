@@ -196,16 +196,16 @@ def evaluate_rmse(model, dataset: Dataset, with_forces: bool = True):
     return rmse_e, rmse_f
 
 
-def _finish(model: QffModel, dataset, validation, theta, losses, epochs,
-            converged, started, evals0, optimizer, budget_exhausted=False):
-    trained = QffModel(model.template, model.pipeline, theta,
-                       model.energy_scale, model.energy_offset,
-                       dict(model.metadata))
+def fit_report(trained, dataset, validation, losses, epochs, converged,
+               started, evals0, optimizer, budget_exhausted=False) -> TrainReport:
+    """Report of a finished fit of any force field family: training and
+    validation RMSEs, wall time since ``started`` and circuit evaluations
+    since the counter read ``evals0``."""
     tr_e, tr_f = evaluate_rmse(trained, dataset)
     va_e = va_f = None
     if validation is not None:
         va_e, va_f = evaluate_rmse(trained, validation)
-    report = TrainReport(
+    return TrainReport(
         losses=losses,
         epochs=epochs,
         converged=converged,
@@ -218,7 +218,16 @@ def _finish(model: QffModel, dataset, validation, theta, losses, epochs,
         optimizer=optimizer,
         budget_exhausted=budget_exhausted,
     )
-    return trained, report
+
+
+def _finish(model: QffModel, dataset, validation, theta, losses, epochs,
+            converged, started, evals0, optimizer, budget_exhausted=False):
+    trained = QffModel(model.template, model.pipeline, theta,
+                       model.energy_scale, model.energy_offset,
+                       dict(model.metadata))
+    return trained, fit_report(trained, dataset, validation, losses, epochs,
+                               converged, started, evals0, optimizer,
+                               budget_exhausted)
 
 
 def adam_fit(model: QffModel, dataset: Dataset, spec: LossSpec,

@@ -51,19 +51,6 @@ def test_feature_map_gate_counts():
     assert sizes == [2, 2, 2, 3]
 
 
-def test_feature_map_ladder_decomposition_counts():
-    # full 3-qubit map with one degree-3 set decomposes to 10 CNOTs + 4 RZ
-    spec = EncodingSpec(3, "full", ((0, 1, 2),))
-    bound = bind(assemble_qnn(spec, AnsatzSpec(3, "full"), 1), np.ones(3), np.zeros(9))
-    encoding = [g for g in bound if g.kind == "multiz"][:4]
-    expanded = []
-    for g in encoding:
-        expanded += statevec.multiz_ladder(g)
-    kinds = [g.kind for g in expanded]
-    assert kinds.count("cnot") == 10
-    assert kinds.count("rz") == 4
-
-
 def test_feature_map_degree_set_validation():
     with pytest.raises(ArgumentError):
         EncodingSpec(3, "full", ((0, 1, 3),))

@@ -127,6 +127,15 @@ def test_md_flat_from_equilibrium(tmp_path, capsys):
     assert np.max(np.abs(traj.positions - 1.6)) < 1e-10
 
 
+def test_md_non_finite_forces_exit_numerical(tmp_path, monkeypatch):
+    import qnnff.data
+
+    monkeypatch.setattr(qnnff.data, "morse_oracle",
+                        lambda r: (float("nan"), 0.0))
+    assert run("md", "--oracle", "--preset", "lih", "--steps", 5,
+               "--out", tmp_path / "traj.txt") == 4
+
+
 def test_md_requires_source(tmp_path):
     assert run("md", "--preset", "lih") == 2
 
@@ -163,6 +172,32 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("not_a_flag = 3\n")
     assert run("gen", "--preset", "lih", "--config", cfg) == 2
+
+
+def test_config_file_types_values_from_flags(lih_file, tmp_path):
+    # --steps defaults to None, so its type comes from the flag's own type
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps = 3\ndepth = 1\n")
+    out = tmp_path / "cfg_model.json"
+    assert run("train", "--data", lih_file, "--checkpoint", out,
+               "--config", cfg) == 0
+    assert "epochs = 3" in (tmp_path / "cfg_model.json.report.txt").read_text()
+
+
+@pytest.mark.parametrize("line", ["count = abc", "mirror = maybe"])
+def test_config_file_bad_value_is_argument_error(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run("gen", "--preset", "lih", "--config", cfg) == 2
+
+
+def test_config_file_value_outside_choices(lih_file, tmp_path):
+    # an unknown optimizer name must not fall through to COBYLA
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("optimizer = sgd\n")
+    assert run("train", "--data", lih_file, "--checkpoint",
+               tmp_path / "never.json", "--config", cfg) == 2
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_exit_code_data_error(tmp_path, tiny_checkpoint):

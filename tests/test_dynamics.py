@@ -96,6 +96,26 @@ def test_force_failure_reports_step():
         velocity_verlet_run(bad_provider, config)
 
 
+@pytest.mark.parametrize("bad", ["energy", "forces"])
+def test_non_finite_values_stop_at_their_step(bad):
+    calls = []
+
+    def provider(x):
+        e, f = morse_provider(x)
+        if len(calls) == 3:
+            if bad == "energy":
+                e = float("nan")
+            else:
+                f = np.array([np.inf])
+        calls.append(x)
+        return e, f
+
+    config = MdConfig(dt=0.05, steps=20, masses=[LIH_MU], x0=[1.05], v0=[0.0])
+    with pytest.raises(NumericalError, match="non-finite .* at step 3$"):
+        velocity_verlet_run(provider, config)
+    assert len(calls) == 4
+
+
 def test_cartesian_masses_per_atom():
     # per-atom masses expand to three coordinates each
     config = MdConfig(dt=0.1, steps=2, masses=[2.0, 3.0],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from qnnff.gradients import (
     grad_inputs_batch,
     grad_params,
     grad_params_batch,
-    gradient_report,
     mixed_hessian,
 )
 
@@ -151,30 +152,6 @@ def test_hessian_matches_fd_of_shift_gradient(rng):
         assert np.max(np.abs(exact - fd)) < 1e-5
 
 
-def test_literal_input_shift_exact_for_plain_encoding(rng):
-    # without entangling product terms each feature enters single ry gates
-    # only, and there the literal whole-vector shift is still inexact under
-    # re-uploading (several occurrences), except at depth 1 where it agrees.
-    t = assemble_qnn(EncodingSpec(2, "linear"), AnsatzSpec(2, "linear"), 1)
-    # depth 1 linear on 2 qubits still has the pair gate; build 1 qubit case:
-    t1 = single_ry_template(depth=1)
-    y = np.array([0.3])
-    theta = rng.uniform(-np.pi, np.pi, size=t1.param_count)
-    lit = mixed_hessian(t1, y, theta, literal_input_shift=True)
-    exact = mixed_hessian(t1, y, theta)
-    assert np.allclose(lit, exact, atol=1e-12)
-
-
-def test_literal_input_shift_differs_with_product_terms(rng):
-    t = assemble_qnn(EncodingSpec(2, "linear"), AnsatzSpec(2, "linear"), 2)
-    y = np.array([0.4, 0.7])
-    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
-    lit = mixed_hessian(t, y, theta, literal_input_shift=True)
-    exact = mixed_hessian(t, y, theta)
-    assert lit.shape == exact.shape
-    assert not np.allclose(lit, exact, atol=1e-6)
-
-
 def test_batch_matches_single_sample(rng):
     t = random_template(rng, depth=2)
     Y = rng.uniform(-0.8, 0.8, size=(6, t.num_features))
@@ -188,6 +165,42 @@ def test_batch_matches_single_sample(rng):
         assert np.allclose(ib[i], grad_inputs(t, y, theta), atol=1e-13)
 
 
+def test_chunked_runs_equal_unsplit(rng, monkeypatch):
+    # a small memory budget splits every call into several chunks, with
+    # boundaries falling inside a sample's shift variants
+    t = random_template(rng, depth=2)
+    Y = rng.uniform(-0.8, 0.8, size=(7, t.num_features))
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    calls = [(eval_qnn_batch, Y), (grad_params_batch, Y),
+             (grad_inputs_batch, Y), (mixed_hessian, Y[0])]
+    chunks = []
+    execute = gradients._execute
+
+    def counted(prog, angles, rows):
+        chunks.append(rows)
+        return execute(prog, angles, rows)
+
+    monkeypatch.setattr(gradients, "_execute", counted)
+
+    def run_all():
+        out = []
+        for fn, x in calls:
+            counter.reset()
+            chunks.clear()
+            value = fn(t, x, theta)
+            out.append((value, dataclasses.astuple(counter), len(chunks)))
+        return out
+
+    whole = run_all()
+    monkeypatch.setattr(gradients, "_CHUNK_BYTES", 1000)
+    split = run_all()
+    for (a, count_a, n_a), (b, count_b, n_b) in zip(whole, split):
+        assert n_a == 1 and n_b > 1
+        assert a.shape == b.shape
+        assert np.all(a == b)
+        assert count_a == count_b
+
+
 def test_eval_counter_bookkeeping(rng):
     t = random_template(rng, depth=2)
     y, theta = draw_point(rng, t)
@@ -199,16 +212,6 @@ def test_eval_counter_bookkeeping(rng):
     eval_qnn(t, y, theta)
     assert counter.total == 1
     assert counter.grad_params == 0
-
-
-def test_gradient_report(rng):
-    t = single_ry_template(depth=2)
-    y, theta = draw_point(rng, t)
-    rep = gradient_report(t, y, theta, with_hessian=True)
-    assert abs(rep.value) <= 1.0
-    assert rep.d_params.shape == (t.param_count,)
-    assert rep.d_inputs.shape == (1,)
-    assert rep.mixed_hessian.shape == (t.param_count, 1)
 
 
 def test_dimension_mismatch():

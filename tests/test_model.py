@@ -130,6 +130,21 @@ def test_checkpoint_round_trip(tmp_path, lih_setup, rng):
     assert back.metadata == m.metadata
 
 
+def test_failed_save_keeps_earlier_checkpoint(tmp_path, lih_setup):
+    _, _, model = lih_setup
+    path = tmp_path / "m.json"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    bad = QffModel(model.template, model.pipeline, model.theta,
+                   model.energy_scale, model.energy_offset,
+                   {"not_json": object()})
+    with pytest.raises(TypeError):
+        save_checkpoint(bad, path)
+    assert path.read_bytes() == before
+    assert np.array_equal(load_checkpoint(path).theta, model.theta)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
 def test_checkpoint_truncated_file(tmp_path, lih_setup):
     _, _, model = lih_setup
     path = tmp_path / "model.json"

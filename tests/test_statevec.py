@@ -6,11 +6,9 @@ from qnnff.errors import ArgumentError, CapacityError
 from qnnff.statevec import (
     BoundGate,
     apply_gate,
-    cnot,
     expectation_z,
     init_zero,
     multiz,
-    multiz_ladder,
     run_circuit,
     ry,
 )
@@ -108,19 +106,6 @@ def test_norm_preserved_on_random_circuits(rng):
         assert abs(out.norm - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_multiz_ladder_agrees_with_diagonal(rng, k):
-    n = 4
-    for _ in range(3):
-        qs = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
-        phi = float(rng.uniform(-np.pi, np.pi))
-        gate = multiz(qs, phi)
-        start = run_circuit(init_zero(n), random_gate_sequence(rng, n, 6))
-        direct = apply_gate(start, gate)
-        laddered = run_circuit(start, multiz_ladder(gate))
-        assert np.allclose(direct.amplitudes, laddered.amplitudes, atol=1e-12)
-
-
 def test_expectation_bounded(rng):
     for _ in range(5):
         out = run_circuit(init_zero(2), random_gate_sequence(rng, 2, 15))
@@ -140,15 +125,11 @@ def test_bad_gate_construction():
     with pytest.raises(ArgumentError):
         BoundGate("ry", (0, 1), 0.1)
     with pytest.raises(ArgumentError):
-        BoundGate("cnot", (1, 1))
+        BoundGate("multiz", (1, 1), 0.5)
     with pytest.raises(ArgumentError):
-        BoundGate("cnot", (0, 1), 0.5)
+        BoundGate("cnot", (0, 1))  # not a simulated kind
     with pytest.raises(ArgumentError):
         BoundGate("multiz", (0, 1))  # missing angle
     with pytest.raises(ArgumentError):
         BoundGate("hadamard", (0,))
 
-
-def test_multiz_ladder_rejects_other_kinds():
-    with pytest.raises(ArgumentError):
-        multiz_ladder(ry(0, 0.1))
