@@ -18,12 +18,12 @@ from qnnff.presets import generate_lih, get_preset
 preset = get_preset("lih")
 data = generate_lih(100, mirror=True)
 pipeline = preset.pipeline().fit(data.cartesians())
-features = np.stack([pipeline.apply(c) for c in data.cartesians()[:50]])
+features = pipeline.apply_batch(data.cartesians()[:50])
 
 template = preset.template()
 network = MlpSpec((7, 4, 5, 2, 1))
 encoding = preset.encoding_spec()
-monomials = np.stack([encoding_monomials(encoding, y) for y in features])
+monomials = encoding_monomials(encoding, features)
 print(f"circuit: d = {template.param_count} parameters")
 print(f"network: widths {network.widths}, d = {network.param_count} parameters")
 print(f"Fisher data: {len(features)} inputs; sample-size parameter n = 50\n")

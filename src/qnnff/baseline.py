@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import EncodingSpec, encoding_monomials, monomial_jacobian
+from .circuit import (EncodingSpec, encoding_monomials, encoding_table,
+                      monomial_jacobian)
 from .descriptors import DescriptorPipeline
 from .errors import ArgumentError
+from .model import ForceFieldMixin
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,16 @@ def mlp_param_grad_fn(spec: MlpSpec):
     return fn
 
 
+def mse_value_and_grad(spec: MlpSpec, x, labels):
+    """theta -> (mean squared error of the network on (x, labels), its
+    gradient), the loss the optimizer minimises."""
+    def value_and_grad(theta):
+        f, d_params, _ = mlp_backward(unpack_params(spec, theta), x)
+        r = f - labels
+        return float(np.mean(r ** 2)), (2.0 / r.size) * (d_params.T @ r)
+    return value_and_grad
+
+
 def topology_search(budget_d: int, input_width: int, trials: int, seed: int = 0,
                     train=None, val=None, tolerance: int = 2,
                     epochs: int = 300):
@@ -186,14 +198,9 @@ def topology_search(budget_d: int, input_width: int, trials: int, seed: int = 0,
     for k, spec in enumerate(candidates):
         theta0 = pack_params(mlp_init_xavier(spec, seed=seed + k))
 
-        def value_and_grad(theta, spec=spec):
-            model = unpack_params(spec, theta)
-            f, d_params, _ = mlp_backward(model, x_train)
-            r = f - e_train
-            return float(np.mean(r ** 2)), (2.0 / len(r)) * (d_params.T @ r)
-
         cfg = AdamConfig(max_steps=epochs, seed=seed + k)
-        theta, _, _, _ = adam_minimize(value_and_grad, theta0, cfg)
+        theta, _, _, _ = adam_minimize(
+            mse_value_and_grad(spec, x_train, e_train), theta0, cfg)
         val_loss = float(np.mean(
             (mlp_forward(unpack_params(spec, theta), x_val) - e_val) ** 2))
         if val_loss < best_loss:
@@ -202,7 +209,7 @@ def topology_search(budget_d: int, input_width: int, trials: int, seed: int = 0,
 
 
 @dataclass
-class MlpForceField:
+class MlpForceField(ForceFieldMixin):
     """Classical counterpart of the circuit force field.
 
     Inputs are either the pipeline features directly or, when ``encoding``
@@ -221,8 +228,7 @@ class MlpForceField:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
         expected = (self.pipeline.num_features if self.encoding is None
-                    else len(encoding_monomials(self.encoding,
-                                                np.zeros(self.pipeline.num_features))))
+                    else len(encoding_table(self.encoding).index_sets))
         if self.spec.widths[0] != expected:
             raise ArgumentError(
                 f"network input width {self.spec.widths[0]} does not match "
@@ -235,33 +241,23 @@ class MlpForceField:
     def param_count(self) -> int:
         return self.spec.param_count
 
-    def _net(self) -> MlpModel:
-        return unpack_params(self.spec, self.theta)
-
     def inputs_from_features(self, y: np.ndarray) -> np.ndarray:
+        """Network inputs of a feature row or matrix."""
         if self.encoding is None:
             return y
         return encoding_monomials(self.encoding, y)
 
-    def raw_output(self, geom) -> float:
-        return mlp_forward(self._net(),
-                           self.inputs_from_features(self.pipeline.apply(geom)))
+    def _outputs(self, features: np.ndarray) -> np.ndarray:
+        net = unpack_params(self.spec, self.theta)
+        return mlp_forward(net, self.inputs_from_features(features))
 
-    def predict_energy(self, geom) -> float:
-        return self.energy_scale * self.raw_output(geom) + self.energy_offset
-
-    def predict_energy_batch(self, geoms) -> np.ndarray:
-        return np.array([self.predict_energy(g) for g in geoms])
-
-    def predict_forces(self, geom) -> np.ndarray:
-        y, jac = self.pipeline.apply_with_jacobian(geom)
-        _, _, d_in = mlp_backward(self._net(), self.inputs_from_features(y))
-        if self.encoding is not None:
-            d_in = d_in @ monomial_jacobian(self.encoding, y)
-        return -self.energy_scale * (d_in @ jac)
-
-    def scaled_energy(self, energy) -> np.ndarray:
-        return (np.asarray(energy, dtype=float) - self.energy_offset) / self.energy_scale
+    def _input_grads(self, features: np.ndarray) -> np.ndarray:
+        net = unpack_params(self.spec, self.theta)
+        _, _, d_in = mlp_backward(net, self.inputs_from_features(features))
+        if self.encoding is None:
+            return d_in
+        return np.einsum("bk,bkj->bj", d_in,
+                         monomial_jacobian(self.encoding, features))
 
 
 def mlp_payload(ff: MlpForceField) -> dict:

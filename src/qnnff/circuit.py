@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,22 +35,6 @@ class InputExpr:
         if len(set(idx)) != len(idx):
             raise ArgumentError(f"repeated feature index in {idx}")
         object.__setattr__(self, "indices", idx)
-
-    def value(self, y: np.ndarray) -> float:
-        out = 1.0
-        for i in self.indices:
-            out *= y[i]
-        return out
-
-    def partial(self, j: int, y: np.ndarray) -> float:
-        """d(angle)/d y_j: the product over the remaining indices."""
-        if j not in self.indices:
-            return 0.0
-        out = 1.0
-        for i in self.indices:
-            if i != j:
-                out *= y[i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -183,9 +168,6 @@ class QnnTemplate:
     def param_count(self) -> int:
         return len(self.param_refs)
 
-    def param_index(self, ref: ParamRef) -> int:
-        return self.param_refs.index(ref)
-
 
 def assemble_qnn(encoding: EncodingSpec, ansatz: AnsatzSpec, depth: int) -> QnnTemplate:
     """Interleave D identical encoding stages with D+1 trainable stages."""
@@ -236,20 +218,53 @@ def encoding_exprs(spec: EncodingSpec) -> tuple[InputExpr, ...]:
     return tuple(g.source for g in feature_map(spec))
 
 
-def encoding_monomials(spec: EncodingSpec, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    return np.array([e.value(y) for e in encoding_exprs(spec)])
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
 
 
-def monomial_jacobian(spec: EncodingSpec, y: np.ndarray) -> np.ndarray:
-    """d(monomials)/d(features), shape (num_monomials, num_features)."""
+class MonomialTable:
+    """The monomials of one encoding stage and their partial derivatives.
+    ``factors[k]`` holds the feature indices of monomial k and ``others[k,
+    j]`` those of its derivative by y_j, padded with index n, a column of
+    ones; ``member[k, j]`` is 1 where y_j is a factor of monomial k."""
+
+    def __init__(self, spec: EncodingSpec):
+        self.index_sets = tuple(e.indices for e in encoding_exprs(spec))
+        n, width = spec.num_qubits, max(len(ix) for ix in self.index_sets)
+        self.factors = np.full((len(self.index_sets), width), n)
+        self.others = np.full((len(self.index_sets), n, width - 1), n)
+        self.member = np.zeros((len(self.index_sets), n))
+        for k, ix in enumerate(self.index_sets):
+            self.factors[k, :len(ix)] = ix
+            for j in ix:
+                rest = [i for i in ix if i != j]
+                self.others[k, j, :len(rest)] = rest
+                self.member[k, j] = 1.0
+
+    def values(self, features: np.ndarray) -> np.ndarray:
+        """Monomials of every feature row, (B, K)."""
+        return np.prod(_with_ones(features)[:, self.factors], axis=2)
+
+    def partials(self, features: np.ndarray) -> np.ndarray:
+        """d(monomial k)/d y_j for every feature row, (B, K, n)."""
+        return np.prod(_with_ones(features)[:, self.others], axis=3) * self.member
+
+
+encoding_table = lru_cache(maxsize=64)(MonomialTable)
+
+
+def encoding_monomials(spec: EncodingSpec, y) -> np.ndarray:
+    """Encoded monomials of one feature row, (K,), or of a matrix, (B, K)."""
     y = np.asarray(y, dtype=float)
-    exprs = encoding_exprs(spec)
-    jac = np.zeros((len(exprs), y.size))
-    for row, e in enumerate(exprs):
-        for j in e.indices:
-            jac[row, j] = e.partial(j, y)
-    return jac
+    out = encoding_table(spec).values(np.atleast_2d(y))
+    return out[0] if y.ndim == 1 else out
+
+
+def monomial_jacobian(spec: EncodingSpec, y) -> np.ndarray:
+    """d(monomials)/d(features) of one row, (K, N), or a matrix, (B, K, N)."""
+    y = np.asarray(y, dtype=float)
+    out = encoding_table(spec).partials(np.atleast_2d(y))
+    return out[0] if y.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

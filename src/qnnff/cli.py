@@ -17,7 +17,8 @@ import numpy as np
 from . import baseline, capacity, dynamics, gradients, model as model_mod, train
 from .data import load_dataset, save_dataset, train_test_split
 from .errors import ArgumentError, DataError, NumericalError, QnnffError
-from .presets import get_preset, reduced_mass
+from .circuit import encoding_monomials
+from .presets import PRESETS, get_preset, reduced_mass
 
 EXIT_ARGUMENT, EXIT_DATA, EXIT_NUMERICAL = 2, 3, 4
 
@@ -229,113 +230,82 @@ def _train_mlp(preset, args, train_set, validation, chi, config):
             "force-weighted training is only wired for the circuit family; "
             "pass --chi 0 with --model mlp"
         )
-    template = preset.template(depth=args.depth,
-                               entanglement=args.entanglement,
-                               degree=args.degree)
-    pipeline = preset.pipeline().fit(train_set.cartesians())
+    qff = _build_qnn(preset, args, train_set)
     enc = preset.encoding_spec(args.entanglement, args.degree)
-    feats = np.stack([pipeline.apply(c) for c in train_set.cartesians()])
-    from .circuit import encoding_monomials
-
-    inputs = np.stack([encoding_monomials(enc, y) for y in feats])
-    scale, offset = model_mod.fit_label_scaling(train_set.energies())
-    labels = (train_set.energies() - offset) / scale
+    inputs = encoding_monomials(enc, qff.feature_matrix(train_set.cartesians()))
+    labels = qff.scaled_energy(train_set.energies())
     spec = baseline.topology_search(
-        budget_d=template.param_count, input_width=inputs.shape[1],
+        budget_d=qff.param_count, input_width=inputs.shape[1],
         trials=8, seed=args.seed, train=(inputs, labels), epochs=150)
     print(f"training mlp widths={spec.widths} d={spec.param_count} "
-          f"(budget {template.param_count})")
+          f"(budget {qff.param_count})")
     theta0 = baseline.pack_params(baseline.mlp_init_xavier(spec, seed=args.seed))
-
-    def value_and_grad(theta):
-        net = baseline.unpack_params(spec, theta)
-        f, d_params, _ = baseline.mlp_backward(net, inputs)
-        r = f - labels
-        return float(np.mean(r ** 2)), (2.0 / r.size) * (d_params.T @ r)
-
     started = time.monotonic()
     evals0 = gradients.counter.total
     theta, losses, epochs, converged = train.adam_minimize(
-        value_and_grad, theta0, config)
-    ff = baseline.MlpForceField(spec, pipeline, theta, scale, offset,
-                                encoding=enc,
+        baseline.mse_value_and_grad(spec, inputs, labels), theta0, config)
+    ff = baseline.MlpForceField(spec, qff.pipeline, theta, qff.energy_scale,
+                                qff.energy_offset, encoding=enc,
                                 metadata={"preset": preset.name,
                                           "family": "mlp"})
     return ff, train.fit_report(ff, train_set, validation, losses, epochs,
                                 converged, started, evals0, "adam")
 
 
+def _check_molecule(ff, dataset, path) -> None:
+    """A checkpoint takes only its own molecule's geometries: its pipeline
+    reads only the atoms it names, so an atom count would pass h2o to LiH."""
+    name = ff.metadata.get("preset")
+    if name is not None and (
+            dataset.preset not in ("custom", name)
+            or name in PRESETS and dataset.elements != PRESETS[name].elements):
+        raise ArgumentError(
+            f"{path} holds {dataset.preset} geometries "
+            f"({' '.join(dataset.elements)}), but the checkpoint models {name}")
+
+
 def cmd_eval(args) -> None:
     ff = model_mod.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
+    _check_molecule(ff, dataset, args.data)
     if args.forces and not dataset.has_forces:
         raise DataError(f"{args.data} has no force labels but --forces was given")
-    rmse_e, rmse_f = train.evaluate_rmse(ff, dataset,
-                                         with_forces=args.forces or dataset.has_forces)
+    energies, forces = train.predict_dataset(ff, dataset, with_forces=True)
+    rmse_e, rmse_f = train.prediction_rmse(dataset, energies, forces)
     print(f"rmse_energy_eV = {rmse_e!r}")
     if rmse_f is not None:
         print(f"rmse_forces_eV_per_A = {rmse_f!r}")
     prefix = _out_prefix(args, None)
     if prefix:
-        pred = ff.predict_energy_batch(dataset.cartesians())
         np.savetxt(f"{prefix}.energy.txt",
-                   np.column_stack([dataset.energies(), pred]),
+                   np.column_stack([dataset.energies(), energies]),
                    header="label_eV prediction_eV")
-        if rmse_f is not None:
-            rows = []
-            for s in dataset.samples:
-                rows.append(np.column_stack([
-                    s.forces, ff.predict_forces(s.cartesian)]))
-            np.savetxt(f"{prefix}.forces.txt", np.vstack(rows),
+        if forces is not None:
+            np.savetxt(f"{prefix}.forces.txt",
+                       np.column_stack([dataset.forces_matrix().ravel(),
+                                        forces.ravel()]),
                        header="label_eV_per_A prediction_eV_per_A")
         print(f"wrote scatter data with prefix {prefix}")
-
-
-def _grad_interface(ff):
-    if isinstance(ff, model_mod.QffModel):
-        inputs_of = lambda feats: feats
-        return (gradients.qnn_param_grad_fn(ff.template), ff.param_count,
-                (-np.pi, np.pi), inputs_of)
-    from .circuit import encoding_monomials
-
-    def inputs_of(feats):
-        return np.stack([encoding_monomials(ff.encoding, y) for y in feats]) \
-            if ff.encoding is not None else feats
-
-    return (baseline.mlp_param_grad_fn(ff.spec), ff.param_count,
-            (-1.0, 1.0), inputs_of)
 
 
 def cmd_effdim(args) -> None:
     ff = model_mod.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    feats = np.stack([ff.pipeline.apply(c) for c in dataset.cartesians()])
-    grad_fn, dim, bounds, inputs_of = _grad_interface(ff)
-    n = args.n or len(dataset)
+    _check_molecule(ff, dataset, args.data)
+    inputs = ff.feature_matrix(dataset.cartesians())
+    if isinstance(ff, model_mod.QffModel):
+        grad_fn, bounds = gradients.qnn_param_grad_fn(ff.template), (-np.pi, np.pi)
+    else:
+        grad_fn, bounds = baseline.mlp_param_grad_fn(ff.spec), (-1.0, 1.0)
+        inputs = ff.inputs_from_features(inputs)
     report = capacity.effective_dimension(
-        grad_fn, inputs_of(feats), dim=dim, n=n, bounds=bounds,
-        draws=args.draws, seed=args.seed,
+        grad_fn, inputs, dim=ff.param_count, n=args.n or len(dataset),
+        bounds=bounds, draws=args.draws, seed=args.seed,
         trace_normalize=args.trace_normalize)
     print(report.to_text())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_text() + "\n")
-
-
-def _diatomic_provider(args):
-    if args.oracle or args.checkpoint is None:
-        from .data import morse_oracle
-
-        def provider(x):
-            e, f = morse_oracle(float(x[0]))
-            return e, np.array([f])
-    else:
-        ff = model_mod.load_checkpoint(args.checkpoint)
-
-        def provider(x):
-            e, f = model_mod.bond_energy_force(ff, float(x[0]))
-            return e, np.array([f])
-    return provider
 
 
 def cmd_md(args) -> None:
@@ -350,7 +320,14 @@ def cmd_md(args) -> None:
         raise ArgumentError("cannot infer the molecule preset; pass --preset")
     preset = get_preset(preset_name)
     if len(preset.elements) == 2:
-        provider = _diatomic_provider(args)
+        from .data import morse_oracle
+
+        bond = (morse_oracle if args.oracle
+                else lambda r: model_mod.bond_energy_force(ff, r))
+
+        def provider(x):
+            e, f = bond(float(x[0]))
+            return e, np.array([f])
         config = dynamics.MdConfig(dt=args.dt, steps=args.steps,
                                    masses=[reduced_mass(preset)],
                                    x0=[args.r0], v0=[args.v0])
@@ -359,14 +336,17 @@ def cmd_md(args) -> None:
             raise ArgumentError(
                 "Cartesian MD needs --data for the initial geometry")
         dataset = load_dataset(args.data)
+        if ff is not None:
+            _check_molecule(ff, dataset, args.data)
         x0 = dataset.samples[0].cartesian
-        if args.oracle or ff is None:
+        if args.oracle:
             from .data import hydronium_oracle, triatomic_oracle
 
-            oracle = triatomic_oracle if preset_name == "h2o" else hydronium_oracle
-            provider = lambda x: oracle(x)
+            provider = triatomic_oracle if preset_name == "h2o" else hydronium_oracle
         else:
-            provider = lambda x: (ff.predict_energy(x), ff.predict_forces(x))
+            def provider(x):
+                energies, forces = ff.energy_forces(x[None])
+                return float(energies[0]), forces[0]
         config = dynamics.MdConfig(dt=args.dt, steps=args.steps,
                                    masses=preset.masses, x0=x0,
                                    v0=np.zeros_like(x0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import bond_angle, bond_length, dihedral
+from .descriptors import Angle, Bond, Dihedral, bond_length, dihedral
 from .errors import ArgumentError, DataError
 
 
@@ -114,19 +114,22 @@ class TriatomicParams:
     theta_eq: float = 1.8235   # rad
 
 
+def _wells(pos: np.ndarray, wells):
+    """Energy and forces of harmonic wells k/2 (q - q0)^2, (coord, k, q0)."""
+    energy, forces = 0.0, np.zeros(pos.size)
+    for coord, k, q0 in wells:
+        q, grad = coord.evaluate(pos)
+        energy += 0.5 * k * (q - q0) ** 2
+        forces -= k * (q - q0) * grad
+    return energy, forces
+
+
 def triatomic_oracle(geom, params: TriatomicParams = TriatomicParams()):
     """Harmonic bend-stretch surrogate for a triatomic (atom 0 is the vertex)."""
-    pos = np.asarray(geom, dtype=float).reshape(3, 3)
-    energy = 0.0
-    forces = np.zeros(9)
-    for j in (1, 2):
-        r, grad = bond_length(pos, 0, j)
-        energy += 0.5 * params.k_bond * (r - params.r_eq) ** 2
-        forces -= params.k_bond * (r - params.r_eq) * grad
-    theta, grad = bond_angle(pos, 1, 0, 2)
-    energy += 0.5 * params.k_angle * (theta - params.theta_eq) ** 2
-    forces -= params.k_angle * (theta - params.theta_eq) * grad
-    return energy, forces
+    p = params
+    return _wells(np.asarray(geom, dtype=float).reshape(3, 3),
+                  [(Bond(0, 1), p.k_bond, p.r_eq), (Bond(0, 2), p.k_bond, p.r_eq),
+                   (Angle(1, 0, 2), p.k_angle, p.theta_eq)])
 
 
 @dataclass(frozen=True)
@@ -145,21 +148,15 @@ def hydronium_oracle(geom, params: HydroniumParams = HydroniumParams()):
     Atom order (O, H1, H2, H3); the umbrella coordinate is the dihedral over
     the chain (O, H3, H2, H1) with minima at +-d_well.
     """
+    p = params
     pos = np.asarray(geom, dtype=float).reshape(4, 3)
-    energy = 0.0
-    forces = np.zeros(12)
-    for j in (1, 2, 3):
-        r, grad = bond_length(pos, 0, j)
-        energy += 0.5 * params.k_bond * (r - params.r_eq) ** 2
-        forces -= params.k_bond * (r - params.r_eq) * grad
-    for j in (2, 3):
-        theta, grad = bond_angle(pos, 1, 0, j)
-        energy += 0.5 * params.k_angle * (theta - params.theta_eq) ** 2
-        forces -= params.k_angle * (theta - params.theta_eq) * grad
+    energy, forces = _wells(
+        pos, [(Bond(0, j), p.k_bond, p.r_eq) for j in (1, 2, 3)]
+        + [(Angle(1, 0, j), p.k_angle, p.theta_eq) for j in (2, 3)])
     d, grad = dihedral(pos, 0, 3, 2, 1)
-    u = (d / params.d_well) ** 2 - 1.0
-    energy += params.k_umbrella * u * u
-    forces -= params.k_umbrella * 4.0 * u * d / params.d_well ** 2 * grad
+    u = (d / p.d_well) ** 2 - 1.0
+    energy += p.k_umbrella * u * u
+    forces -= p.k_umbrella * 4.0 * u * d / p.d_well ** 2 * grad
     return energy, forces
 
 
@@ -219,19 +216,14 @@ def hydronium_geometry(r1: float, r2: float, r3: float, theta12: float,
         ])
         return pos
 
-    def objective(psi: float) -> float:
-        return dihedral(with_azimuth(psi), 0, 3, 2, 1)[0] - d_target
-
+    # one batched dihedral over the azimuth grid; NaN where it is undefined
     grid = np.linspace(-np.pi + 0.05, np.pi - 0.05, 73)
-    vals = []
-    for psi in grid:
-        try:
-            vals.append(objective(psi))
-        except Exception:
-            vals.append(np.nan)
+    vals = Dihedral(0, 3, 2, 1).batch(
+        np.stack([with_azimuth(psi) for psi in grid]))[0] - d_target
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if np.isfinite(fa) and np.isfinite(fb) and fa * fb <= 0 and abs(fa - fb) < np.pi:
-            psi = brentq(objective, a, b, xtol=1e-12)
+            psi = brentq(lambda p: dihedral(with_azimuth(p), 0, 3, 2, 1)[0]
+                         - d_target, a, b, xtol=1e-12)
             return with_azimuth(psi).ravel()
     raise ArgumentError(
         f"no hydronium placement reaches dihedral {d_target:.3f} rad with the "

@@ -15,8 +15,9 @@ Sign conventions pinned here (and by the finite-difference tests):
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -50,9 +51,8 @@ class MoleculeGeometry:
 
 def _positions(geom) -> np.ndarray:
     if isinstance(geom, MoleculeGeometry):
-        return geom.cartesian.reshape(-1, 3)
-    arr = np.asarray(geom, dtype=float)
-    return arr.reshape(-1, 3)
+        geom = geom.cartesian
+    return np.asarray(geom, dtype=float).reshape(-1, 3)
 
 
 def _distinct(*indices):
@@ -60,139 +60,145 @@ def _distinct(*indices):
         raise ArgumentError(f"atom indices must be distinct, got {indices}")
 
 
-def bond_length(geom, i: int, j: int):
-    """Distance between atoms i and j, with its gradient over all 3n coords."""
-    _distinct(i, j)
-    pos = _positions(geom)
-    diff = pos[i] - pos[j]
-    r = float(np.linalg.norm(diff))
-    if r <= _EPS_COINCIDENT:
-        raise DegenerateGeometryError(f"atoms {i} and {j} coincide (r={r:.2e})")
-    grad = np.zeros(pos.size)
-    unit = diff / r
-    grad[3 * i: 3 * i + 3] = unit
-    grad[3 * j: 3 * j + 3] = -unit
-    return r, grad
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def bond_angle(geom, i: int, j: int, k: int):
-    """Angle at vertex j between arms j->i and j->k, in [0, pi]."""
-    _distinct(i, j, k)
-    pos = _positions(geom)
-    u = pos[i] - pos[j]
-    v = pos[k] - pos[j]
-    ru = float(np.linalg.norm(u))
-    rv = float(np.linalg.norm(v))
-    if ru <= _EPS_COINCIDENT or rv <= _EPS_COINCIDENT:
-        raise DegenerateGeometryError("degenerate arm in bond angle")
-    cosang = float(u @ v / (ru * rv))
-    if abs(cosang) >= 1.0 - _EPS_COLLINEAR:
-        warnings.warn(
-            f"near-collinear angle ({i},{j},{k}); arccos argument clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        cosang = float(np.clip(cosang, -1.0 + _EPS_COLLINEAR, 1.0 - _EPS_COLLINEAR))
-    theta = float(np.arccos(cosang))
-    sin = np.sqrt(1.0 - cosang * cosang)
-    di = (cosang * u / ru - v / rv) / (ru * sin)
-    dk = (cosang * v / rv - u / ru) / (rv * sin)
-    grad = np.zeros(pos.size)
-    grad[3 * i: 3 * i + 3] = di
-    grad[3 * k: 3 * k + 3] = dk
-    grad[3 * j: 3 * j + 3] = -(di + dk)
-    return theta, grad
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (B, 3) arrays: the arithmetic of
+    ``np.cross`` without its call overhead."""
+    return (a.take(_NEXT, axis=1) * b.take(_PREV, axis=1)
+            - a.take(_PREV, axis=1) * b.take(_NEXT, axis=1))
 
 
-def dihedral(geom, i: int, j: int, k: int, l: int):
-    """Signed dihedral for the atom chain (i, j, k, l), in (-pi, pi]."""
-    _distinct(i, j, k, l)
-    pos = _positions(geom)
-    f = pos[i] - pos[j]
-    g = pos[j] - pos[k]
-    h = pos[l] - pos[k]
-    a = np.cross(f, g)
-    b = np.cross(h, g)
-    na2 = float(a @ a)
-    nb2 = float(b @ b)
-    ng = float(np.linalg.norm(g))
-    if na2 <= _EPS_CROSS ** 2 or nb2 <= _EPS_CROSS ** 2 or ng <= _EPS_COINCIDENT:
-        raise DegenerateGeometryError(
-            f"collinear atoms make dihedral ({i},{j},{k},{l}) undefined"
-        )
-    # b1 = f x (-g) = -a and b2 = (-g) x (-h) = -b, so b1.b2 = a.b and the
-    # sign scalar chi = r_kj.(b1 x b2) equals (b x a).g
-    sin_term = float(np.cross(b, a) @ g) / ng
-    cos_term = float(a @ b)
-    angle = float(np.arctan2(sin_term, cos_term))
-    if angle <= -np.pi + 1e-15:
-        angle = np.pi
-    di = -(ng / na2) * a
-    dl = (ng / nb2) * b
-    fg = float(f @ g)
-    hg = float(h @ g)
-    dj = (ng / na2) * a + (fg / (na2 * ng)) * a - (hg / (nb2 * ng)) * b
-    dk = -(ng / nb2) * b - (fg / (na2 * ng)) * a + (hg / (nb2 * ng)) * b
-    grad = np.zeros(pos.size)
-    grad[3 * i: 3 * i + 3] = di
-    grad[3 * j: 3 * j + 3] = dj
-    grad[3 * k: 3 * k + 3] = dk
-    grad[3 * l: 3 * l + 3] = dl
-    return angle, grad
+def _gradient(pos: np.ndarray, parts) -> np.ndarray:
+    """(B, 3n) gradient from (atom, (B, 3) block) pairs."""
+    grad = np.zeros(pos.shape)
+    for atom, block in parts:
+        grad[:, atom] = block
+    return grad.reshape(len(pos), -1)
 
 
-# ---------------------------------------------------------------------------
-# Coordinate definitions and the full pipeline.
+class _Coordinate:
+    """An internal coordinate whose ``batch`` kernel maps (B, n, 3)
+    positions to values (B,) and gradients (B, 3n), NaN where undefined.
+    np.vecdot runs the same BLAS dot as ``a[k] @ b[k]``, so each row rounds
+    as the product of one pair of vectors does."""
+
+    def evaluate(self, geom):
+        """(value, gradient) on one geometry, as a batch of one."""
+        value, grad = self.batch(_positions(geom)[None])
+        if math.isnan(value[0]):
+            raise DegenerateGeometryError(
+                f"{self} is undefined: coincident or collinear atoms")
+        return float(value[0]), grad[0]
+
 
 @dataclass(frozen=True)
-class Bond:
+class Bond(_Coordinate):
     i: int
     j: int
 
-    def evaluate(self, geom):
-        return bond_length(geom, self.i, self.j)
+    def batch(self, pos: np.ndarray):
+        i, j = self.i, self.j
+        _distinct(i, j)
+        diff = pos[:, i] - pos[:, j]
+        r = np.sqrt(np.vecdot(diff, diff))
+        r[r <= _EPS_COINCIDENT] = np.nan
+        unit = diff / r[:, None]
+        return r, _gradient(pos, ((i, unit), (j, -unit)))
 
 
 @dataclass(frozen=True)
-class Angle:
+class Angle(_Coordinate):
     i: int
     j: int
     k: int
 
-    def evaluate(self, geom):
-        return bond_angle(geom, self.i, self.j, self.k)
+    def batch(self, pos: np.ndarray):
+        i, j, k = self.i, self.j, self.k
+        _distinct(i, j, k)
+        u = pos[:, i] - pos[:, j]
+        v = pos[:, k] - pos[:, j]
+        ru = np.sqrt(np.vecdot(u, u))
+        rv = np.sqrt(np.vecdot(v, v))
+        bad = (ru <= _EPS_COINCIDENT) | (rv <= _EPS_COINCIDENT)
+        ru[bad] = rv[bad] = np.nan
+        cosang = np.vecdot(u, v) / (ru * rv)
+        if (np.abs(cosang) >= 1.0 - _EPS_COLLINEAR).any():
+            warnings.warn(f"near-collinear angle ({i},{j},{k}); arccos "
+                          "argument clamped", RuntimeWarning, stacklevel=3)
+            cosang = np.clip(cosang, -1.0 + _EPS_COLLINEAR, 1.0 - _EPS_COLLINEAR)
+        theta = np.arccos(cosang)
+        sin = np.sqrt(1.0 - cosang * cosang)[:, None]
+        c, ru, rv = cosang[:, None], ru[:, None], rv[:, None]
+        di = (c * u / ru - v / rv) / (ru * sin)
+        dk = (c * v / rv - u / ru) / (rv * sin)
+        return theta, _gradient(pos, ((i, di), (k, dk), (j, -(di + dk))))
 
 
 @dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Coordinate):
     i: int
     j: int
     k: int
     l: int
 
-    def evaluate(self, geom):
-        return dihedral(geom, self.i, self.j, self.k, self.l)
+    def batch(self, pos: np.ndarray):
+        i, j, k, l = self.i, self.j, self.k, self.l
+        _distinct(i, j, k, l)
+        f = pos[:, i] - pos[:, j]
+        g = pos[:, j] - pos[:, k]
+        h = pos[:, l] - pos[:, k]
+        a = _cross(f, g)
+        b = _cross(h, g)
+        na2 = np.vecdot(a, a)
+        nb2 = np.vecdot(b, b)
+        ng = np.sqrt(np.vecdot(g, g))
+        ng[(na2 <= _EPS_CROSS ** 2) | (nb2 <= _EPS_CROSS ** 2)
+           | (ng <= _EPS_COINCIDENT)] = np.nan
+        # b1 = f x (-g) = -a and b2 = (-g) x (-h) = -b, so b1.b2 = a.b and
+        # the sign scalar chi = r_kj.(b1 x b2) equals (b x a).g
+        angle = np.arctan2(np.vecdot(_cross(b, a), g) / ng, np.vecdot(a, b))
+        angle[angle <= -np.pi + 1e-15] = np.pi
+        fg = np.vecdot(f, g)[:, None]
+        hg = np.vecdot(h, g)[:, None]
+        ng, na2, nb2 = ng[:, None], na2[:, None], nb2[:, None]
+        di = -(ng / na2) * a
+        dl = (ng / nb2) * b
+        dj = (ng / na2) * a + (fg / (na2 * ng)) * a - (hg / (nb2 * ng)) * b
+        dk = -(ng / nb2) * b - (fg / (na2 * ng)) * a + (hg / (nb2 * ng)) * b
+        return angle, _gradient(pos, ((i, di), (j, dj), (k, dk), (l, dl)))
+
+
+def bond_length(geom, i: int, j: int):
+    """Distance between atoms i and j, with its gradient over all 3n coords."""
+    return Bond(i, j).evaluate(geom)
+
+
+def bond_angle(geom, i: int, j: int, k: int):
+    """Angle at vertex j between arms j->i and j->k, in [0, pi]."""
+    return Angle(i, j, k).evaluate(geom)
+
+
+def dihedral(geom, i: int, j: int, k: int, l: int):
+    """Signed dihedral for the atom chain (i, j, k, l), in (-pi, pi]."""
+    return Dihedral(i, j, k, l).evaluate(geom)
+
+
+_KINDS = {cls.__name__.lower(): cls for cls in (Bond, Angle, Dihedral)}
 
 
 def coord_to_tuple(coord):
-    if isinstance(coord, Bond):
-        return ("bond", coord.i, coord.j)
-    if isinstance(coord, Angle):
-        return ("angle", coord.i, coord.j, coord.k)
-    if isinstance(coord, Dihedral):
-        return ("dihedral", coord.i, coord.j, coord.k, coord.l)
-    raise ArgumentError(f"unknown coordinate {coord!r}")
+    if type(coord) not in _KINDS.values():
+        raise ArgumentError(f"unknown coordinate {coord!r}")
+    return (type(coord).__name__.lower(), *astuple(coord))
 
 
 def coord_from_tuple(t):
     kind, *idx = t
-    if kind == "bond":
-        return Bond(*idx)
-    if kind == "angle":
-        return Angle(*idx)
-    if kind == "dihedral":
-        return Dihedral(*idx)
-    raise ArgumentError(f"unknown coordinate kind {kind!r}")
+    if kind not in _KINDS:
+        raise ArgumentError(f"unknown coordinate kind {kind!r}")
+    return _KINDS[kind](*idx)
 
 
 def minmax_fit(values) -> tuple[float, float]:
@@ -211,37 +217,6 @@ def minmax_apply(x, lo: float, hi: float):
 
 def minmax_derivative(lo: float, hi: float) -> float:
     return 2.0 / (hi - lo)
-
-
-def _nonlin(tag: str, x: float, pipeline) -> float:
-    if tag == "pi_scale":
-        return np.pi * x
-    if tag == "identity":
-        return x
-    arg = x
-    if abs(arg) > 1.0 - CLAMP_EPS:
-        pipeline.clamp_count += 1
-        arg = float(np.clip(arg, -1.0, 1.0))
-    if tag == "arcsin":
-        return float(np.arcsin(arg))
-    if tag == "arccos":
-        return float(np.arccos(arg))
-    raise ArgumentError(f"unknown nonlinearity {tag!r}")
-
-
-def _nonlin_derivative(tag: str, x: float) -> float:
-    if tag == "pi_scale":
-        return np.pi
-    if tag == "identity":
-        return 1.0
-    # derivative argument stays strictly inside (-1, 1) so Jacobians are finite
-    arg = float(np.clip(x, -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS))
-    d = 1.0 / np.sqrt(1.0 - arg * arg)
-    if tag == "arcsin":
-        return d
-    if tag == "arccos":
-        return -d
-    raise ArgumentError(f"unknown nonlinearity {tag!r}")
 
 
 @dataclass
@@ -268,6 +243,9 @@ class DescriptorPipeline:
                 raise ArgumentError(f"feature source {src} out of range")
             if tag not in NONLINEARITIES:
                 raise ArgumentError(f"unknown nonlinearity {tag!r}")
+        self._source = np.array([src for src, _ in self.features], dtype=int)
+        tags = np.array([tag for _, tag in self.features])
+        self._tag = {tag: tags == tag for tag in NONLINEARITIES}
         if self.bounds is not None:
             self.bounds = tuple((float(a), float(b)) for a, b in self.bounds)
             for lo, hi in self.bounds:
@@ -278,52 +256,71 @@ class DescriptorPipeline:
     def num_features(self) -> int:
         return len(self.features)
 
-    @property
-    def num_coords(self) -> int:
-        return len(self.coords)
+    def _coordinates(self, geoms):
+        """Internal coordinates (B, C) of a (B, 3n) matrix or a list of
+        equal-length geometries, and their Cartesian gradients (B, C, 3n)."""
+        geoms = np.asarray(geoms, dtype=float)
+        pos = geoms.reshape(len(geoms), -1, 3)
+        values, grads = zip(*(c.batch(pos) for c in self.coords))
+        values = np.array(values).T
+        if np.isnan(values).any():
+            row, col = np.argwhere(np.isnan(values))[0]
+            raise DegenerateGeometryError(
+                f"geometry {row}: {self.coords[col]} is undefined "
+                f"(coincident or collinear atoms)")
+        return values, np.array(grads).transpose(1, 0, 2)
+
+    def _features(self, q):
+        """Features (B, N) of internal coordinates q (B, C) and their slopes
+        d(feature)/d(source coordinate).  arcsin/arccos clamp and count a
+        scaled value beyond 1 - CLAMP_EPS; their slope is taken strictly
+        inside (-1, 1), so Jacobians stay finite."""
+        src, tag = self._source, self._tag
+        lo, hi = np.array(self.bounds)[src].T
+        x = minmax_apply(q[:, src], lo, hi)
+        arc = tag["arcsin"] | tag["arccos"]
+        self.clamp_count += int(np.count_nonzero(arc & (np.abs(x) > 1.0 - CLAMP_EPS)))
+        arg = np.minimum(np.maximum(x, -1.0), 1.0)
+        inner = np.minimum(np.maximum(x, -1.0 + CLAMP_EPS), 1.0 - CLAMP_EPS)
+        d = 1.0 / np.sqrt(1.0 - inner * inner)
+        y = np.where(tag["pi_scale"], np.pi * x,
+                     np.where(tag["arcsin"], np.arcsin(arg),
+                              np.where(tag["arccos"], np.arccos(arg), x)))
+        slope = np.where(tag["pi_scale"], np.pi,
+                         np.where(tag["arcsin"], d,
+                                  np.where(tag["arccos"], -d, 1.0)))
+        return y, slope * minmax_derivative(lo, hi)
+
+    def apply_with_jacobian_batch(self, geoms):
+        """Features (B, N) plus d(features)/d(cartesian), shape (B, N, 3n)."""
+        if self.bounds is None:
+            raise ArgumentError("pipeline has no scaler bounds; call fit() first")
+        q, dq = self._coordinates(geoms)
+        y, slope = self._features(q)
+        return y, slope[:, :, None] * dq[:, self._source]
+
+    def apply_batch(self, geoms) -> np.ndarray:
+        return self.apply_with_jacobian_batch(geoms)[0]
 
     def internal_values(self, geom) -> np.ndarray:
-        return np.array([c.evaluate(geom)[0] for c in self.coords])
+        return self._coordinates(_positions(geom)[None])[0][0]
 
     def fit(self, geometries) -> "DescriptorPipeline":
         """Set scaler bounds from the extrema of each internal coordinate."""
-        table = np.array([self.internal_values(g) for g in geometries])
-        self.bounds = tuple(minmax_fit(table[:, c]) for c in range(self.num_coords))
+        table = self._coordinates(geometries)[0]
+        self.bounds = tuple(minmax_fit(column) for column in table.T)
         return self
 
-    def _require_fit(self):
-        if self.bounds is None:
-            raise ArgumentError("pipeline has no scaler bounds; call fit() first")
-
     def apply(self, geom) -> np.ndarray:
-        self._require_fit()
-        q = self.internal_values(geom)
-        y = np.empty(self.num_features)
-        for f, (src, tag) in enumerate(self.features):
-            lo, hi = self.bounds[src]
-            y[f] = _nonlin(tag, float(minmax_apply(q[src], lo, hi)), self)
-        return y
+        return self.apply_batch(_positions(geom)[None])[0]
 
     def jacobian(self, geom) -> np.ndarray:
         return self.apply_with_jacobian(geom)[1]
 
     def apply_with_jacobian(self, geom):
         """Feature vector plus d(features)/d(cartesian), shape (N, 3n)."""
-        self._require_fit()
-        values, grads = [], []
-        for c in self.coords:
-            v, g = c.evaluate(geom)
-            values.append(v)
-            grads.append(g)
-        y = np.empty(self.num_features)
-        jac = np.zeros((self.num_features, grads[0].size))
-        for f, (src, tag) in enumerate(self.features):
-            lo, hi = self.bounds[src]
-            scaled = float(minmax_apply(values[src], lo, hi))
-            y[f] = _nonlin(tag, scaled, self)
-            slope = _nonlin_derivative(tag, scaled) * minmax_derivative(lo, hi)
-            jac[f] = slope * grads[src]
-        return y, jac
+        y, jac = self.apply_with_jacobian_batch(_positions(geom)[None])
+        return y[0], jac[0]
 
 
 def pipeline_to_dict(p: DescriptorPipeline) -> dict:

@@ -183,6 +183,10 @@ def qnn_model_spectrum(template, theta, feature_index: int = 0,
 
     if grid_points < 2:
         raise ArgumentError("grid must have at least two points")
+    if not 0 <= feature_index < template.num_features:
+        raise ArgumentError(
+            f"feature index {feature_index} out of range for "
+            f"{template.num_features} features")
     base = (np.zeros(template.num_features) if base_features is None
             else np.asarray(base_features, dtype=float).copy())
     grid = 2 * np.pi * np.arange(grid_points) / grid_points

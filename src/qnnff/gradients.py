@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import InputExpr, ParamRef, QnnTemplate
+from .circuit import InputExpr, ParamRef, QnnTemplate, encoding_table
 from .errors import ArgumentError
 from .statevec import _expectation_z_raw, apply_gates
 
@@ -55,10 +55,6 @@ class EvalCounter:
 
 
 counter = EvalCounter()
-
-
-def _with_ones(features: np.ndarray) -> np.ndarray:
-    return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
 
 
 class _Program:
@@ -94,27 +90,20 @@ class _Program:
             else:
                 self.const[g] = float(src)
         self.input_cols = np.array([g for g, _ in exprs], dtype=int)
-        # Feature indices of each monomial, and of each of its partial
-        # derivatives, padded with index n, which points at a column of ones.
-        n = template.num_features
-        width = max((len(ix) for _, ix in exprs), default=1)
-        self.factors = np.full((len(exprs), width), n)
-        self.others = np.full((len(exprs), n, width - 1), n)
-        self.member = np.zeros((len(exprs), n))
-        for o, (_, ix) in enumerate(exprs):
-            self.factors[o, :len(ix)] = ix
-            for j in ix:
-                rest = [k for k in ix if k != j]
-                self.others[o, j, :len(rest)] = rest
-                self.member[o, j] = 1.0
+        self.monomials = encoding_table(template.encoding)
+        position = {ix: k for k, ix in enumerate(self.monomials.index_sets)}
+        if any(ix not in position for _, ix in exprs):
+            raise ArgumentError("an input gate applies no monomial of the "
+                                "template's encoding stage")
+        self.occurrence = np.array([position[ix] for _, ix in exprs], dtype=int)
 
     def input_values(self, features: np.ndarray) -> np.ndarray:
         """Bound angle of every input occurrence for every sample, (B, m)."""
-        return np.prod(_with_ones(features)[:, self.factors], axis=2)
+        return self.monomials.values(features)[:, self.occurrence]
 
     def input_partials(self, features: np.ndarray) -> np.ndarray:
         """d(angle of occurrence o)/d y_j for every sample, (B, m, n)."""
-        return np.prod(_with_ones(features)[:, self.others], axis=3) * self.member
+        return self.monomials.partials(features)[:, self.occurrence]
 
     def row_cols(self, levels) -> np.ndarray:
         """Gate columns whose angle varies by row: the inputs, in occurrence

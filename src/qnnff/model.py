@@ -1,6 +1,6 @@
-"""End-to-end force field: descriptor pipeline + circuit + label scaling.
+"""End-to-end force field: descriptor pipeline + model + label scaling.
 
-The circuit output lives in [-1, 1]; an affine label transform fit on the
+The model output lives in [-1, 1]; an affine label transform fit on the
 training energies maps that band onto physical eV.  Energies are
 
     E(C) = scale * f_theta(pipeline(C)) + offset
@@ -41,8 +41,46 @@ def fit_label_scaling(energies, headroom: float = LABEL_HEADROOM):
     return scale, offset
 
 
+class ForceFieldMixin:
+    """Energies and forces, as in the module docstring, of a family that
+    holds ``pipeline``, ``energy_scale`` and ``energy_offset`` and supplies
+    its outputs ``_outputs`` (B,) and input gradients ``_input_grads``
+    (B, N) of a feature matrix.  ``predict_energy`` runs no input gradient
+    and ``predict_forces`` no forward output."""
+
+    def feature_matrix(self, geoms) -> np.ndarray:
+        return self.pipeline.apply_batch(geoms)
+
+    def raw_output(self, geom) -> float:
+        return float(self._outputs(self.pipeline.apply(geom)[None])[0])
+
+    def predict_energy(self, geom) -> float:
+        return self.energy_scale * self.raw_output(geom) + self.energy_offset
+
+    def predict_energy_batch(self, geoms) -> np.ndarray:
+        return (self.energy_scale * self._outputs(self.feature_matrix(geoms))
+                + self.energy_offset)
+
+    def predict_forces(self, geom) -> np.ndarray:
+        y, jac = self.pipeline.apply_with_jacobian(geom)
+        return self._forces(y[None], jac[None])[0]
+
+    def energy_forces(self, geoms):
+        """Energies (B,) and forces (B, 3n) from one descriptor pass."""
+        y, jac = self.pipeline.apply_with_jacobian_batch(geoms)
+        energies = self.energy_scale * self._outputs(y) + self.energy_offset
+        return energies, self._forces(y, jac)
+
+    def _forces(self, y: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        return -self.energy_scale * np.einsum("bj,bjc->bc", self._input_grads(y), jac)
+
+    def scaled_energy(self, energy) -> np.ndarray:
+        """Map physical energies into model-output units."""
+        return (np.asarray(energy, dtype=float) - self.energy_offset) / self.energy_scale
+
+
 @dataclass
-class QffModel:
+class QffModel(ForceFieldMixin):
     """Trained (or trainable) circuit force field."""
 
     template: QnnTemplate
@@ -71,31 +109,11 @@ class QffModel:
     def param_count(self) -> int:
         return self.template.param_count
 
-    def features(self, geom) -> np.ndarray:
-        return self.pipeline.apply(geom)
+    def _outputs(self, features: np.ndarray) -> np.ndarray:
+        return gradients.eval_qnn_batch(self.template, features, self.theta)
 
-    def feature_matrix(self, geoms) -> np.ndarray:
-        return np.stack([self.pipeline.apply(g) for g in geoms])
-
-    def raw_output(self, geom) -> float:
-        return gradients.eval_qnn(self.template, self.features(geom), self.theta)
-
-    def predict_energy(self, geom) -> float:
-        return self.energy_scale * self.raw_output(geom) + self.energy_offset
-
-    def predict_energy_batch(self, geoms) -> np.ndarray:
-        f = gradients.eval_qnn_batch(self.template, self.feature_matrix(geoms),
-                                     self.theta)
-        return self.energy_scale * f + self.energy_offset
-
-    def predict_forces(self, geom) -> np.ndarray:
-        y, jac = self.pipeline.apply_with_jacobian(geom)
-        gy = gradients.grad_inputs(self.template, y, self.theta)
-        return -self.energy_scale * (gy @ jac)
-
-    def scaled_energy(self, energy) -> np.ndarray:
-        """Map physical energies into circuit-output units."""
-        return (np.asarray(energy, dtype=float) - self.energy_offset) / self.energy_scale
+    def _input_grads(self, features: np.ndarray) -> np.ndarray:
+        return gradients.grad_inputs_batch(self.template, features, self.theta)
 
 
 def initialized_model(template: QnnTemplate, pipeline: DescriptorPipeline,
@@ -114,8 +132,8 @@ def bond_energy_force(model, r: float):
     """
     from .data import diatomic_geometry
 
-    geom = diatomic_geometry(r)
-    return model.predict_energy(geom), model.predict_forces(geom)[3]
+    energies, forces = model.energy_forces(diatomic_geometry(r)[None])
+    return float(energies[0]), forces[0, 3]
 
 
 # ---------------------------------------------------------------------------

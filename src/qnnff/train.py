@@ -98,24 +98,16 @@ class _Problem:
 
     features: np.ndarray        # (B, N)
     energies: np.ndarray        # (B,) scaled
-    jacobians: np.ndarray | None  # (B, N, 3n)
-    forces: np.ndarray | None     # (B, 3n) scaled
+    jacobians: np.ndarray       # (B, N, 3n)
+    forces: np.ndarray | None   # (B, 3n) scaled
 
 
 def _lower(model: QffModel, dataset: Dataset, chi: float) -> _Problem:
-    geoms = dataset.cartesians()
-    energies = model.scaled_energy(dataset.energies())
-    if chi > 0:
-        if not dataset.has_forces:
-            raise DataError("chi > 0 requires force labels on every sample")
-        feats, jacs = [], []
-        for g in geoms:
-            y, jac = model.pipeline.apply_with_jacobian(g)
-            feats.append(y)
-            jacs.append(jac)
-        return _Problem(np.stack(feats), energies, np.stack(jacs),
-                        dataset.forces_matrix() / model.energy_scale)
-    return _Problem(model.feature_matrix(geoms), energies, None, None)
+    if chi > 0 and not dataset.has_forces:
+        raise DataError("chi > 0 requires force labels on every sample")
+    feats, jacs = model.pipeline.apply_with_jacobian_batch(dataset.cartesians())
+    forces = dataset.forces_matrix() / model.energy_scale if chi > 0 else None
+    return _Problem(feats, model.scaled_energy(dataset.energies()), jacs, forces)
 
 
 def _loss_terms(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray):
@@ -185,15 +177,27 @@ def adam_minimize(value_and_grad, theta0: np.ndarray, config: AdamConfig):
     return theta, losses, config.max_steps, False
 
 
+def predict_dataset(model, dataset: Dataset, with_forces: bool):
+    """Energies (B,) and forces (B, 3n) of every sample from one batched
+    call; forces are None unless asked for and labelled."""
+    geoms = dataset.cartesians()
+    if with_forces and dataset.has_forces:
+        return model.energy_forces(geoms)
+    return model.predict_energy_batch(geoms), None
+
+
+def prediction_rmse(dataset: Dataset, energies, forces):
+    """Physical-unit RMSEs (eV, eV/A) of predictions; None for no forces."""
+    rmse_e = float(np.sqrt(np.mean((energies - dataset.energies()) ** 2)))
+    rmse_f = None
+    if forces is not None:
+        rmse_f = float(np.sqrt(np.mean((forces - dataset.forces_matrix()) ** 2)))
+    return rmse_e, rmse_f
+
+
 def evaluate_rmse(model, dataset: Dataset, with_forces: bool = True):
     """Physical-unit RMSEs (eV, eV/A); force RMSE is None without labels."""
-    pred_e = model.predict_energy_batch(dataset.cartesians())
-    rmse_e = float(np.sqrt(np.mean((pred_e - dataset.energies()) ** 2)))
-    rmse_f = None
-    if with_forces and dataset.has_forces:
-        pred_f = np.stack([model.predict_forces(g) for g in dataset.cartesians()])
-        rmse_f = float(np.sqrt(np.mean((pred_f - dataset.forces_matrix()) ** 2)))
-    return rmse_e, rmse_f
+    return prediction_rmse(dataset, *predict_dataset(model, dataset, with_forces))
 
 
 def fit_report(trained, dataset, validation, losses, epochs, converged,

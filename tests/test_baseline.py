@@ -154,16 +154,21 @@ def test_mlp_force_field_consistency(rng):
     theta = rng.normal(scale=0.5, size=spec.param_count)
     ff = MlpForceField(spec, pipeline, theta, energy_scale=1.4,
                        energy_offset=0.8, encoding=enc)
-    geom = data.samples[9].cartesian
-    forces = ff.predict_forces(geom)
+    geoms = data.cartesians()[[9, 4, 17]]
+    energies, batch_forces = ff.energy_forces(geoms)
+    assert np.allclose(energies, ff.predict_energy_batch(geoms), rtol=0, atol=1e-12)
     h = 1e-5
-    fd = np.zeros_like(geom)
-    for c in range(geom.size):
-        xp, xm = geom.copy(), geom.copy()
-        xp[c] += h
-        xm[c] -= h
-        fd[c] = -(ff.predict_energy(xp) - ff.predict_energy(xm)) / (2 * h)
-    assert np.max(np.abs(forces - fd)) < 1e-6
+    for k, geom in enumerate(geoms):
+        forces = ff.predict_forces(geom)
+        assert energies[k] == pytest.approx(ff.predict_energy(geom), rel=0, abs=1e-12)
+        assert np.allclose(batch_forces[k], forces, rtol=0, atol=1e-12)
+        fd = np.zeros_like(geom)
+        for c in range(geom.size):
+            xp, xm = geom.copy(), geom.copy()
+            xp[c] += h
+            xm[c] -= h
+            fd[c] = -(ff.predict_energy(xp) - ff.predict_energy(xm)) / (2 * h)
+        assert np.max(np.abs(forces - fd)) < 1e-6
 
 
 def test_mlp_force_field_checkpoint(tmp_path, rng):

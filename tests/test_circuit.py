@@ -197,3 +197,9 @@ def test_monomials_and_jacobian(rng):
         ym[j] -= h
         fd = (encoding_monomials(spec, yp) - encoding_monomials(spec, ym)) / (2 * h)
         assert np.allclose(jac[:, j], fd, atol=1e-6)
+    # a (B, N) matrix gives one row per feature row
+    ys = np.stack([y, -y, 2 * y])
+    assert np.array_equal(encoding_monomials(spec, ys),
+                          np.stack([encoding_monomials(spec, r) for r in ys]))
+    assert np.array_equal(monomial_jacobian(spec, ys),
+                          np.stack([monomial_jacobian(spec, r) for r in ys]))

@@ -107,6 +107,19 @@ def test_eval_missing_forces_is_data_error(tmp_path, tiny_checkpoint):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["eval", "effdim"])
+@pytest.mark.parametrize("preset, tag", [("h2o", "h2o"), ("lih", "h2o")])
+def test_checkpoint_rejects_another_molecule(tmp_path, tiny_checkpoint, command,
+                                             preset, tag):
+    # an h2o dataset, and a LiH dataset tagged h2o, against a LiH model
+    from qnnff.presets import get_preset
+
+    ds = get_preset(preset).generate(6, seed=1)
+    path = tmp_path / "other.txt"
+    save_dataset(Dataset(ds.samples, ds.elements, preset=tag), path)
+    assert run(command, "--checkpoint", tiny_checkpoint, "--data", path) == 2
+
+
 def test_effdim_runs(tmp_path, tiny_checkpoint, lih_file, capsys):
     out = tmp_path / "effdim.txt"
     assert run("effdim", "--checkpoint", tiny_checkpoint, "--data", lih_file,
@@ -146,6 +159,11 @@ def test_spectrum_from_model(tmp_path, tiny_checkpoint):
                "--grid", 32, "--out", out) == 0
     table = np.loadtxt(out)
     assert table.shape[1] == 2
+
+
+def test_spectrum_feature_out_of_range(tmp_path, tiny_checkpoint):
+    assert run("spectrum", "--checkpoint", tiny_checkpoint, "--feature", 7,
+               "--out", tmp_path / "spec.txt") == 2
 
 
 def test_spectrum_from_trajectory(tmp_path):

@@ -66,6 +66,10 @@ def test_bond_gradient_fd(rng):
 def test_bond_coincident_atoms():
     with pytest.raises(DegenerateGeometryError):
         bond_length(np.zeros((2, 3)), 0, 1)
+    # one degenerate row fails the whole batch
+    good = np.array([0, 0, 0, 1.0, 0, 0])
+    with pytest.raises(DegenerateGeometryError, match="geometry 1"):
+        lih_pipeline().apply_batch(np.stack([good, np.zeros(6), good]))
 
 
 def test_angle_right_angle():
@@ -186,9 +190,13 @@ def test_pipeline_clamps_out_of_range_without_nan():
     geom = np.array([[0, 0, 0], [4.8, 0, 0]], float)  # beyond the fit range
     y = p.apply(geom)
     assert np.all(np.isfinite(y))
-    assert p.clamp_count > 0
+    # the arcsin and arccos features clamp; pi_scale never does
+    assert p.clamp_count == 2
     jac = p.jacobian(geom)
     assert np.all(np.isfinite(jac))
+    inside = np.array([[0, 0, 0], [2.7, 0, 0]], float)
+    p.apply_batch(np.stack([inside, geom, geom]).reshape(3, 6))
+    assert p.clamp_count == 8
 
 
 def test_lih_jacobian_rank_one(rng):
@@ -215,6 +223,24 @@ def test_pipeline_jacobian_fd(rng):
         xm[col] -= 1e-6
         fd[:, col] = (p.apply(xp.reshape(3, 3)) - p.apply(xm.reshape(3, 3))) / 2e-6
     assert np.max(np.abs(jac - fd)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["lih", "h2o", "h3o"])
+def test_batch_equals_single_geometry_calls(name):
+    from qnnff.presets import get_preset
+
+    preset = get_preset(name)
+    ds = preset.generate(12, seed=4)
+    p = preset.pipeline().fit(ds.cartesians()[:8])
+    geoms = ds.cartesians()
+    y, jac = p.apply_with_jacobian_batch(geoms)
+    assert y.shape == (12, p.num_features)
+    assert jac.shape == (12, p.num_features, geoms.shape[1])
+    assert np.array_equal(p.apply_batch(list(geoms)), y)
+    for k, geom in enumerate(geoms):
+        y1, jac1 = p.apply_with_jacobian(geom)
+        assert np.array_equal(y1, y[k]) and np.array_equal(jac1, jac[k])
+        assert np.array_equal(p.apply(geom), y[k])
 
 
 def rigid_transform(rng, pos):

@@ -127,6 +127,18 @@ def test_unused_feature_has_zero_gradient(rng):
     assert g[0] != 0.0
 
 
+def test_input_gate_outside_encoding_stage_rejected():
+    from qnnff.circuit import InputExpr, ParamRef, QnnTemplate, SymbolicGate
+
+    ref = ParamRef(0, ("ry", 0))
+    gates = (SymbolicGate("ry", (0,), ref),
+             SymbolicGate("multiz", (0, 2), InputExpr((0, 2))))
+    t = QnnTemplate(EncodingSpec(3, "linear"), AnsatzSpec(3, "linear"), 1,
+                    gates, (ref,))
+    with pytest.raises(ArgumentError, match="encoding stage"):
+        eval_qnn(t, np.zeros(3), np.zeros(1))
+
+
 def test_hessian_symmetric_one_qubit_case():
     # f(theta_0, y) = cos(theta_0 + y + theta_1):
     # d^2 f / d theta_0 d y = -cos(...) -> -1 at the origin

@@ -95,9 +95,13 @@ def test_forces_match_minus_fd_energy(lih_setup, rng):
     _, data, model = lih_setup
     m = randomized(model, rng)
     h = 1e-5
-    for s in data.samples[3:24:10]:
-        x = s.cartesian
+    geoms = data.cartesians()[3:24:10]
+    energies, batch_forces = m.energy_forces(geoms)
+    assert np.allclose(energies, m.predict_energy_batch(geoms), rtol=0, atol=1e-12)
+    for k, x in enumerate(geoms):
         forces = m.predict_forces(x)
+        assert energies[k] == pytest.approx(m.predict_energy(x), rel=0, abs=1e-12)
+        assert np.allclose(batch_forces[k], forces, rtol=0, atol=1e-12)
         fd = np.zeros_like(x)
         for c in range(x.size):
             xp, xm = x.copy(), x.copy()
