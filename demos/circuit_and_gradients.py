@@ -2,7 +2,7 @@
 
 Walks through the three building blocks: the encoding stage (single-qubit
 rotations, pairwise ZZ phases and one degree-3 phase), the trainable stages,
-and the shift-rule machinery that returns machine-precision gradients.
+and the adjoint sweep that returns machine-precision gradients.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ theta = rng.uniform(-np.pi, np.pi, size=template.param_count)
 value = eval_qnn(template, y, theta)
 print(f"\nmodel output at a random point: {value:+.6f} (always within [-1, 1])")
 
-# Shift-rule gradients against central finite differences.
+# Adjoint-mode gradients against central finite differences.
 exact = grad_params(template, y, theta)
 h = 1e-4
 fd = np.zeros_like(exact)
@@ -39,7 +39,7 @@ for p in range(template.param_count):
     tp[p] += h
     tm[p] -= h
     fd[p] = (eval_qnn(template, y, tp) - eval_qnn(template, y, tm)) / (2 * h)
-print(f"parameter gradient: max |shift rule - finite difference| = "
+print(f"parameter gradient: max |adjoint - finite difference| = "
       f"{np.max(np.abs(exact - fd)):.2e}")
 
 gi = grad_inputs(template, y, theta)
@@ -49,7 +49,7 @@ for j in range(3):
     yp[j] += h
     ym[j] -= h
     fd_y[j] = (eval_qnn(template, yp, theta) - eval_qnn(template, ym, theta)) / (2 * h)
-print(f"feature gradient:   max |shift rule - finite difference| = "
+print(f"feature gradient:   max |adjoint - finite difference| = "
       f"{np.max(np.abs(gi - fd_y)):.2e}")
 print("\nfeature   d f / d y_j")
 for j, g in enumerate(gi):

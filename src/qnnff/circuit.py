@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -167,6 +167,15 @@ class QnnTemplate:
     @property
     def param_count(self) -> int:
         return len(self.param_refs)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.encoding, self.ansatz, self.depth, self.gates,
+                     self.param_refs))
+
+    def __hash__(self) -> int:
+        # computed once: every circuit call looks its lowering up by template
+        return self._hash
 
 
 def assemble_qnn(encoding: EncodingSpec, ansatz: AnsatzSpec, depth: int) -> QnnTemplate:

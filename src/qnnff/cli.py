@@ -241,7 +241,7 @@ def _train_mlp(preset, args, train_set, validation, chi, config):
           f"(budget {qff.param_count})")
     theta0 = baseline.pack_params(baseline.mlp_init_xavier(spec, seed=args.seed))
     started = time.monotonic()
-    evals0 = gradients.counter.total
+    counts0 = gradients.counter.snapshot()
     theta, losses, epochs, converged = train.adam_minimize(
         baseline.mse_value_and_grad(spec, inputs, labels), theta0, config)
     ff = baseline.MlpForceField(spec, qff.pipeline, theta, qff.energy_scale,
@@ -249,7 +249,7 @@ def _train_mlp(preset, args, train_set, validation, chi, config):
                                 metadata={"preset": preset.name,
                                           "family": "mlp"})
     return ff, train.fit_report(ff, train_set, validation, losses, epochs,
-                                converged, started, evals0, "adam")
+                                converged, started, counts0, "adam")
 
 
 def _check_molecule(ff, dataset, path) -> None:

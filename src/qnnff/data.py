@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import Angle, Bond, Dihedral, bond_length, dihedral
+from .descriptors import (Angle, Bond, Dihedral, bond_length, dihedral,
+                          internal_coordinates)
 from .errors import ArgumentError, DataError
 
 
@@ -114,22 +115,39 @@ class TriatomicParams:
     theta_eq: float = 1.8235   # rad
 
 
-def _wells(pos: np.ndarray, wells):
-    """Energy and forces of harmonic wells k/2 (q - q0)^2, (coord, k, q0)."""
-    energy, forces = 0.0, np.zeros(pos.size)
-    for coord, k, q0 in wells:
-        q, grad = coord.evaluate(pos)
-        energy += 0.5 * k * (q - q0) ** 2
-        forces -= k * (q - q0) * grad
+def _batch(geom, atoms: int):
+    """(B, 3 * atoms) rows of one geometry, flat or (atoms, 3), or of a
+    batch, and whether it was a batch."""
+    arr = np.asarray(geom, dtype=float)
+    batch = arr.ndim == 2 and arr.shape[1] == 3 * atoms
+    return arr.reshape(-1, 3 * atoms), batch
+
+
+def _labels(energy: np.ndarray, forces: np.ndarray, batch: bool):
+    return (energy, forces) if batch else (float(energy[0]), forces[0])
+
+
+def _wells(q: np.ndarray, grads: np.ndarray, wells):
+    """Energies (B,) and forces (B, 3n) of harmonic wells k/2 (q_c - q0)^2,
+    one (k, q0) per column c of the coordinates q (B, C) with gradients
+    (B, C, 3n)."""
+    energy, forces = np.zeros(len(q)), np.zeros((len(q), grads.shape[2]))
+    for c, (k, q0) in enumerate(wells):
+        energy += 0.5 * k * (q[:, c] - q0) ** 2
+        forces -= (k * (q[:, c] - q0))[:, None] * grads[:, c]
     return energy, forces
 
 
 def triatomic_oracle(geom, params: TriatomicParams = TriatomicParams()):
-    """Harmonic bend-stretch surrogate for a triatomic (atom 0 is the vertex)."""
+    """Harmonic bend-stretch surrogate for a triatomic (atom 0 is the vertex).
+    One geometry gives (energy, forces (9,)); a (B, 9) batch gives energies
+    (B,) and forces (B, 9)."""
     p = params
-    return _wells(np.asarray(geom, dtype=float).reshape(3, 3),
-                  [(Bond(0, 1), p.k_bond, p.r_eq), (Bond(0, 2), p.k_bond, p.r_eq),
-                   (Angle(1, 0, 2), p.k_angle, p.theta_eq)])
+    rows, batch = _batch(geom, 3)
+    q, grads = internal_coordinates(
+        (Bond(0, 1), Bond(0, 2), Angle(1, 0, 2)), rows)
+    return _labels(*_wells(q, grads, [(p.k_bond, p.r_eq), (p.k_bond, p.r_eq),
+                                      (p.k_angle, p.theta_eq)]), batch)
 
 
 @dataclass(frozen=True)
@@ -146,18 +164,21 @@ def hydronium_oracle(geom, params: HydroniumParams = HydroniumParams()):
     """Four-atom surrogate: harmonic bonds/angles plus a double-well dihedral.
 
     Atom order (O, H1, H2, H3); the umbrella coordinate is the dihedral over
-    the chain (O, H3, H2, H1) with minima at +-d_well.
+    the chain (O, H3, H2, H1) with minima at +-d_well.  One geometry gives
+    (energy, forces (12,)); a (B, 12) batch gives (B,) and (B, 12).
     """
     p = params
-    pos = np.asarray(geom, dtype=float).reshape(4, 3)
-    energy, forces = _wells(
-        pos, [(Bond(0, j), p.k_bond, p.r_eq) for j in (1, 2, 3)]
-        + [(Angle(1, 0, j), p.k_angle, p.theta_eq) for j in (2, 3)])
-    d, grad = dihedral(pos, 0, 3, 2, 1)
+    rows, batch = _batch(geom, 4)
+    q, grads = internal_coordinates(
+        [Bond(0, j) for j in (1, 2, 3)] + [Angle(1, 0, j) for j in (2, 3)]
+        + [Dihedral(0, 3, 2, 1)], rows)
+    energy, forces = _wells(q, grads, [(p.k_bond, p.r_eq)] * 3
+                            + [(p.k_angle, p.theta_eq)] * 2)
+    d, grad = q[:, 5], grads[:, 5]
     u = (d / p.d_well) ** 2 - 1.0
     energy += p.k_umbrella * u * u
-    forces -= p.k_umbrella * 4.0 * u * d / p.d_well ** 2 * grad
-    return energy, forces
+    forces -= (p.k_umbrella * 4.0 * u * d / p.d_well ** 2)[:, None] * grad
+    return _labels(energy, forces, batch)
 
 
 def finite_difference_forces(energy_fn, cartesian, h: float = 1e-5) -> np.ndarray:

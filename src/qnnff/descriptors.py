@@ -185,6 +185,23 @@ def dihedral(geom, i: int, j: int, k: int, l: int):
     return Dihedral(i, j, k, l).evaluate(geom)
 
 
+def internal_coordinates(coords, geoms):
+    """Values (B, C) of ``coords`` on a (B, 3n) matrix or a list of
+    equal-length geometries, and their Cartesian gradients (B, C, 3n).  An
+    undefined coordinate raises ``DegenerateGeometryError`` naming its
+    geometry."""
+    geoms = np.asarray(geoms, dtype=float)
+    pos = geoms.reshape(len(geoms), -1, 3)
+    values, grads = zip(*(c.batch(pos) for c in coords))
+    values = np.array(values).T
+    if np.isnan(values).any():
+        row, col = np.argwhere(np.isnan(values))[0]
+        raise DegenerateGeometryError(
+            f"geometry {row}: {coords[col]} is undefined "
+            f"(coincident or collinear atoms)")
+    return values, np.array(grads).transpose(1, 0, 2)
+
+
 _KINDS = {cls.__name__.lower(): cls for cls in (Bond, Angle, Dihedral)}
 
 
@@ -256,20 +273,6 @@ class DescriptorPipeline:
     def num_features(self) -> int:
         return len(self.features)
 
-    def _coordinates(self, geoms):
-        """Internal coordinates (B, C) of a (B, 3n) matrix or a list of
-        equal-length geometries, and their Cartesian gradients (B, C, 3n)."""
-        geoms = np.asarray(geoms, dtype=float)
-        pos = geoms.reshape(len(geoms), -1, 3)
-        values, grads = zip(*(c.batch(pos) for c in self.coords))
-        values = np.array(values).T
-        if np.isnan(values).any():
-            row, col = np.argwhere(np.isnan(values))[0]
-            raise DegenerateGeometryError(
-                f"geometry {row}: {self.coords[col]} is undefined "
-                f"(coincident or collinear atoms)")
-        return values, np.array(grads).transpose(1, 0, 2)
-
     def _features(self, q):
         """Features (B, N) of internal coordinates q (B, C) and their slopes
         d(feature)/d(source coordinate).  arcsin/arccos clamp and count a
@@ -295,7 +298,7 @@ class DescriptorPipeline:
         """Features (B, N) plus d(features)/d(cartesian), shape (B, N, 3n)."""
         if self.bounds is None:
             raise ArgumentError("pipeline has no scaler bounds; call fit() first")
-        q, dq = self._coordinates(geoms)
+        q, dq = internal_coordinates(self.coords, geoms)
         y, slope = self._features(q)
         return y, slope[:, :, None] * dq[:, self._source]
 
@@ -303,11 +306,11 @@ class DescriptorPipeline:
         return self.apply_with_jacobian_batch(geoms)[0]
 
     def internal_values(self, geom) -> np.ndarray:
-        return self._coordinates(_positions(geom)[None])[0][0]
+        return internal_coordinates(self.coords, _positions(geom)[None])[0][0]
 
     def fit(self, geometries) -> "DescriptorPipeline":
         """Set scaler bounds from the extrema of each internal coordinate."""
-        table = self._coordinates(geometries)[0]
+        table = internal_coordinates(self.coords, geometries)[0]
         self.bounds = tuple(minmax_fit(column) for column in table.T)
         return self
 

@@ -45,8 +45,9 @@ class ForceFieldMixin:
     """Energies and forces, as in the module docstring, of a family that
     holds ``pipeline``, ``energy_scale`` and ``energy_offset`` and supplies
     its outputs ``_outputs`` (B,) and input gradients ``_input_grads``
-    (B, N) of a feature matrix.  ``predict_energy`` runs no input gradient
-    and ``predict_forces`` no forward output."""
+    (B, N) of a feature matrix, or both at once from
+    ``_outputs_and_input_grads``.  ``predict_energy`` runs no input
+    gradient."""
 
     def feature_matrix(self, geoms) -> np.ndarray:
         return self.pipeline.apply_batch(geoms)
@@ -63,16 +64,20 @@ class ForceFieldMixin:
 
     def predict_forces(self, geom) -> np.ndarray:
         y, jac = self.pipeline.apply_with_jacobian(geom)
-        return self._forces(y[None], jac[None])[0]
+        return self._forces(self._input_grads(y[None]), jac[None])[0]
 
     def energy_forces(self, geoms):
         """Energies (B,) and forces (B, 3n) from one descriptor pass."""
         y, jac = self.pipeline.apply_with_jacobian_batch(geoms)
-        energies = self.energy_scale * self._outputs(y) + self.energy_offset
-        return energies, self._forces(y, jac)
+        outputs, grads = self._outputs_and_input_grads(y)
+        return (self.energy_scale * outputs + self.energy_offset,
+                self._forces(grads, jac))
 
-    def _forces(self, y: np.ndarray, jac: np.ndarray) -> np.ndarray:
-        return -self.energy_scale * np.einsum("bj,bjc->bc", self._input_grads(y), jac)
+    def _outputs_and_input_grads(self, features: np.ndarray):
+        return self._outputs(features), self._input_grads(features)
+
+    def _forces(self, grads: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        return -self.energy_scale * np.einsum("bj,bjc->bc", grads, jac)
 
     def scaled_energy(self, energy) -> np.ndarray:
         """Map physical energies into model-output units."""
@@ -114,6 +119,12 @@ class QffModel(ForceFieldMixin):
 
     def _input_grads(self, features: np.ndarray) -> np.ndarray:
         return gradients.grad_inputs_batch(self.template, features, self.theta)
+
+    def _outputs_and_input_grads(self, features: np.ndarray):
+        """Both from one adjoint sweep per row."""
+        outputs, _, grads = gradients.sweep(self.template, features, self.theta,
+                                            inputs=True)
+        return outputs, grads
 
 
 def initialized_model(template: QnnTemplate, pipeline: DescriptorPipeline,

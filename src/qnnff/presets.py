@@ -117,39 +117,40 @@ def generate_lih(count: int, seed: int = 0, mirror: bool = True,
     return mirror_augment(ds, hi) if mirror else ds
 
 
+def _labelled(geoms: list, oracle) -> list:
+    """Samples of the drawn geometries, labelled by one batched oracle call."""
+    energies, forces = oracle(np.stack(geoms))
+    return [Sample(g, e, f) for g, e, f in zip(geoms, energies, forces)]
+
+
 def generate_h2o(count: int, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
-    samples = []
+    geoms = []
     for _ in range(count):
         r1, r2 = rng.uniform(0.87, 1.05, size=2)
         theta = rng.uniform(1.62, 2.02)
-        geom = triatomic_geometry(r1, r2, theta)
-        e, f = triatomic_oracle(geom)
-        samples.append(Sample(geom, e, f))
-    return Dataset(samples, ("O", "H", "H"), preset="h2o",
-                   provenance="harmonic surrogate samples")
+        geoms.append(triatomic_geometry(r1, r2, theta))
+    return Dataset(_labelled(geoms, triatomic_oracle), ("O", "H", "H"),
+                   preset="h2o", provenance="harmonic surrogate samples")
 
 
 def generate_h3o(count: int, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     lo, hi = H3O_DIHEDRAL_RANGE
-    samples = []
+    geoms = []
     k = 0
-    while len(samples) < count:
-        d = lo + (hi - lo) * (len(samples) + 0.5) / count
+    while len(geoms) < count:
+        d = lo + (hi - lo) * (len(geoms) + 0.5) / count
         r1, r2, r3 = rng.uniform(0.94, 1.02, size=3)
         a12, a13 = rng.uniform(1.83, 1.99, size=2)
         try:
-            geom = hydronium_geometry(r1, r2, r3, a12, a13, d)
+            geoms.append(hydronium_geometry(r1, r2, r3, a12, a13, d))
         except ArgumentError:
             k += 1
             if k > 20 * count:
                 raise
-            continue
-        e, f = hydronium_oracle(geom)
-        samples.append(Sample(geom, e, f))
-    return Dataset(samples, ("O", "H", "H", "H"), preset="h3o",
-                   provenance="hydronium surrogate dihedral sweep")
+    return Dataset(_labelled(geoms, hydronium_oracle), ("O", "H", "H", "H"),
+                   preset="h3o", provenance="hydronium surrogate dihedral sweep")
 
 
 PRESETS = {

@@ -2,10 +2,17 @@
 
 The loss is evaluated in scaled units: energies pass through the model's
 affine label transform, forces are divided by the energy scale.  Training is
-full batch; ADAM consumes exact shift-rule gradients (plus the nested-shift
-mixed Hessian when the force weight is nonzero), the gradient-free path
-drives the same loss through COBYLA and never requests a parameter gradient.
-Parameters start at zero so every trainable stage begins as the identity.
+full batch with exact gradients.  One adjoint sweep per sample
+(``gradients.sweep``) gives the outputs, d f / d theta and, when the force
+weight chi is nonzero, d f / d y for the force predictions; the force term's
+parameter gradient needs the mixed Hessian d^2 f / d theta d y, which
+``gradients.mixed_hessian_batch`` takes as one shift level over the encoding
+occurrences with an adjoint sweep on every shifted row, for all samples in
+one call.  The gradient-free path drives the same loss through COBYLA and
+never requests a parameter gradient.  Reports count circuit evaluations as
+the parameter-shift rule would run them on hardware, and the rows the
+simulator actually swept as simulated passes.  Parameters start at zero so
+every trainable stage begins as the identity.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ class TrainReport:
     circuit_evals: int
     optimizer: str
     budget_exhausted: bool = False
+    simulated_passes: int = 0
 
     def to_text(self) -> str:
         rows = [
@@ -77,6 +85,7 @@ class TrainReport:
             ("val_rmse_forces_eV_per_A", self.val_rmse_forces),
             ("wall_time_s", round(self.wall_time, 3)),
             ("circuit_evals", self.circuit_evals),
+            ("simulated_passes", self.simulated_passes),
         ]
         return "\n".join(f"{k} = {v}" for k, v in rows)
 
@@ -110,17 +119,20 @@ def _lower(model: QffModel, dataset: Dataset, chi: float) -> _Problem:
     return _Problem(feats, model.scaled_energy(dataset.energies()), jacs, forces)
 
 
-def _loss_terms(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray):
-    f = gradients.eval_qnn_batch(model.template, prob.features, theta)
+def _loss_terms(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray,
+                params: bool = False):
+    """Loss, energy and force residuals and, with ``params``, d f / d theta,
+    all from one sweep."""
+    f, g_param, gy = gradients.sweep(model.template, prob.features, theta,
+                                     params=params, inputs=chi > 0)
     residual = f - prob.energies
     loss = float(np.mean(residual ** 2))
     force_residual = None
     if chi > 0:
-        gy = gradients.grad_inputs_batch(model.template, prob.features, theta)
         pred = -np.einsum("bj,bjc->bc", gy, prob.jacobians)
         force_residual = pred - prob.forces
         loss += chi * float(np.mean(force_residual ** 2))
-    return loss, residual, force_residual
+    return loss, residual, force_residual, g_param
 
 
 def loss_chi(model: QffModel, dataset: Dataset, spec: LossSpec) -> float:
@@ -131,17 +143,14 @@ def loss_chi(model: QffModel, dataset: Dataset, spec: LossSpec) -> float:
 
 
 def _loss_and_grad(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray):
-    loss, residual, force_residual = _loss_terms(model, prob, chi, theta)
-    g_param = gradients.grad_params_batch(model.template, prob.features, theta)
+    loss, residual, force_residual, g_param = _loss_terms(model, prob, chi,
+                                                          theta, params=True)
     grad = (2.0 / residual.size) * (g_param.T @ residual)
     if chi > 0:
-        b, _, ncart = prob.jacobians.shape
-        scale = 2.0 * chi / force_residual.size
-        for alpha in range(b):
-            hess = gradients.mixed_hessian(model.template, prob.features[alpha],
-                                           theta)
-            d_pred = -hess @ prob.jacobians[alpha]      # (d, 3n)
-            grad += scale * (d_pred @ force_residual[alpha])
+        # d(pred)/d theta = -hess . J, contracted with the residual per sample
+        hess = gradients.mixed_hessian_batch(model.template, prob.features, theta)
+        pull = np.einsum("bjc,bc->bj", prob.jacobians, force_residual)
+        grad -= (2.0 * chi / force_residual.size) * np.einsum("bpj,bj->p", hess, pull)
     return loss, grad
 
 
@@ -201,10 +210,10 @@ def evaluate_rmse(model, dataset: Dataset, with_forces: bool = True):
 
 
 def fit_report(trained, dataset, validation, losses, epochs, converged,
-               started, evals0, optimizer, budget_exhausted=False) -> TrainReport:
+               started, counts0, optimizer, budget_exhausted=False) -> TrainReport:
     """Report of a finished fit of any force field family: training and
-    validation RMSEs, wall time since ``started`` and circuit evaluations
-    since the counter read ``evals0``."""
+    validation RMSEs, wall time since ``started``, and circuit evaluations
+    and simulated passes since ``counts0``, a snapshot of the counter."""
     tr_e, tr_f = evaluate_rmse(trained, dataset)
     va_e = va_f = None
     if validation is not None:
@@ -218,19 +227,20 @@ def fit_report(trained, dataset, validation, losses, epochs, converged,
         val_rmse_energy=va_e,
         val_rmse_forces=va_f,
         wall_time=time.monotonic() - started,
-        circuit_evals=gradients.counter.total - evals0,
+        circuit_evals=gradients.counter.total - counts0.total,
         optimizer=optimizer,
         budget_exhausted=budget_exhausted,
+        simulated_passes=gradients.counter.simulated - counts0.simulated,
     )
 
 
 def _finish(model: QffModel, dataset, validation, theta, losses, epochs,
-            converged, started, evals0, optimizer, budget_exhausted=False):
+            converged, started, counts0, optimizer, budget_exhausted=False):
     trained = QffModel(model.template, model.pipeline, theta,
                        model.energy_scale, model.energy_offset,
                        dict(model.metadata))
     return trained, fit_report(trained, dataset, validation, losses, epochs,
-                               converged, started, evals0, optimizer,
+                               converged, started, counts0, optimizer,
                                budget_exhausted)
 
 
@@ -238,14 +248,14 @@ def adam_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
              config: AdamConfig, validation: Dataset | None = None):
     """Full-batch gradient descent with ADAM moments from the given model."""
     started = time.monotonic()
-    evals0 = gradients.counter.total
+    counts0 = gradients.counter.snapshot()
     prob = _lower(model, dataset, spec.chi)
     theta, losses, epochs, converged = adam_minimize(
         lambda th: _loss_and_grad(model, prob, spec.chi, th),
         model.theta, config,
     )
     return _finish(model, dataset, validation, theta, losses, epochs,
-                   converged, started, evals0, "adam")
+                   converged, started, counts0, "adam")
 
 
 def gradient_free_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
@@ -255,8 +265,12 @@ def gradient_free_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
     used for force predictions when chi > 0."""
     from scipy.optimize import minimize
 
+    if config.max_steps < model.param_count + 2:
+        raise ArgumentError(
+            f"COBYLA needs a budget of at least d + 2 = {model.param_count + 2} "
+            f"loss evaluations, got {config.max_steps}")
     started = time.monotonic()
-    evals0 = gradients.counter.total
+    counts0 = gradients.counter.snapshot()
     prob = _lower(model, dataset, spec.chi)
     best = {"theta": model.theta.copy(), "loss": np.inf}
     trace: list[float] = []
@@ -275,5 +289,5 @@ def gradient_free_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
                       options={"maxiter": config.max_steps, "rhobeg": 0.4})
     exhausted = len(trace) >= config.max_steps and not result.success
     return _finish(model, dataset, validation, best["theta"], trace,
-                   len(trace), bool(result.success), started, evals0,
+                   len(trace), bool(result.success), started, counts0,
                    "cobyla", budget_exhausted=exhausted)

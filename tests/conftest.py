@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnnff import statevec
+from qnnff.circuit import AnsatzSpec, EncodingSpec, assemble_qnn
 
 
 def kron_on(num_qubits, qubit, u2):
@@ -51,6 +52,23 @@ def random_gate_sequence(rng, num_qubits, length):
             qs = tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
             gates.append(statevec.multiz(qs, float(rng.uniform(-np.pi, np.pi))))
     return gates
+
+
+def random_template(rng, num_qubits=3, depth=3):
+    """Re-uploading template with a random entanglement pattern and, on three
+    or more qubits, usually one random degree-3 set."""
+    ent = str(rng.choice(["linear", "circular", "full"]))
+    sets = ((tuple(sorted(rng.choice(num_qubits, size=3, replace=False))),)
+            if num_qubits >= 3 and rng.random() < 0.7 else ())
+    enc = EncodingSpec(num_qubits, ent, sets)
+    return assemble_qnn(enc, AnsatzSpec(num_qubits, ent, sets), depth)
+
+
+def draw_point(rng, template, y_scale=0.6):
+    """Features from U(-y_scale, y_scale) and parameters from U(-pi, pi)."""
+    y = rng.uniform(-y_scale, y_scale, size=template.num_features)
+    theta = rng.uniform(-np.pi, np.pi, size=template.param_count)
+    return y, theta
 
 
 def central_diff(f, x, h=1e-4):

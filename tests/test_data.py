@@ -22,7 +22,7 @@ from qnnff.data import (
     triatomic_oracle,
 )
 from qnnff.descriptors import bond_angle, bond_length, dihedral
-from qnnff.errors import ArgumentError, DataError
+from qnnff.errors import ArgumentError, DataError, DegenerateGeometryError
 
 
 def lih_grid_dataset(count=170, lo=0.9, hi=4.5, mirror=True):
@@ -85,6 +85,25 @@ def test_hydronium_oracle_forces_match_fd():
     _, forces = hydronium_oracle(geom)
     fd = finite_difference_forces(lambda x: hydronium_oracle(x)[0], geom, h=1e-6)
     assert np.max(np.abs(forces - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("oracle,geoms", [
+    (triatomic_oracle, [triatomic_geometry(1.02, 0.93, 1.7),
+                        triatomic_geometry(0.9, 1.0, 1.9)]),
+    (hydronium_oracle, [hydronium_geometry(0.99, 0.97, 1.01, 1.85, 1.95, 0.4),
+                        hydronium_geometry(0.98, 0.96, 1.02, 1.9, 1.85, -0.5)]),
+])
+def test_oracle_batch_equals_single_geometry_calls(oracle, geoms):
+    energies, forces = oracle(np.stack(geoms))
+    assert energies.shape == (2,) and forces.shape == (2, geoms[0].size)
+    for i, geom in enumerate(geoms):
+        e, f = oracle(geom)
+        assert isinstance(e, float)
+        assert e == energies[i]
+        assert np.array_equal(f, forces[i])
+    bad = np.stack([geoms[0], np.zeros_like(geoms[0])])
+    with pytest.raises(DegenerateGeometryError, match="geometry 1"):
+        oracle(bad)
 
 
 def test_hydronium_geometry_hits_targets():

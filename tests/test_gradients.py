@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qnnff import gradients
-from qnnff.circuit import AnsatzSpec, EncodingSpec, assemble_qnn, sliding_degree_sets
+from qnnff.circuit import (AnsatzSpec, EncodingSpec, assemble_qnn, bind,
+                          sliding_degree_sets)
 from qnnff.errors import ArgumentError
 from qnnff.gradients import (
     counter,
@@ -15,27 +16,17 @@ from qnnff.gradients import (
     grad_params,
     grad_params_batch,
     mixed_hessian,
+    mixed_hessian_batch,
+    sweep,
 )
+from hypothesis import given, settings, strategies as st
 
-from conftest import central_diff
+from conftest import (central_diff, circuit_matrix, draw_point,
+                      random_template)
 
 
 def single_ry_template(depth=1):
     return assemble_qnn(EncodingSpec(1), AnsatzSpec(1), depth)
-
-
-def random_template(rng, num_qubits=3, depth=3):
-    ent = str(rng.choice(["linear", "circular", "full"]))
-    sets = ((tuple(sorted(rng.choice(num_qubits, size=3, replace=False))),)
-            if num_qubits >= 3 and rng.random() < 0.7 else ())
-    enc = EncodingSpec(num_qubits, ent, sets)
-    return assemble_qnn(enc, AnsatzSpec(num_qubits, ent, sets), depth)
-
-
-def draw_point(rng, template, y_scale=0.6):
-    y = rng.uniform(-y_scale, y_scale, size=template.num_features)
-    theta = rng.uniform(-np.pi, np.pi, size=template.param_count)
-    return y, theta
 
 
 def test_identity_circuit_outputs_one():
@@ -184,13 +175,14 @@ def test_chunked_runs_equal_unsplit(rng, monkeypatch):
     Y = rng.uniform(-0.8, 0.8, size=(7, t.num_features))
     theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
     calls = [(eval_qnn_batch, Y), (grad_params_batch, Y),
-             (grad_inputs_batch, Y), (mixed_hessian, Y[0])]
+             (grad_inputs_batch, Y), (mixed_hessian, Y[0]),
+             (mixed_hessian_batch, Y[:2])]
     chunks = []
     execute = gradients._execute
 
-    def counted(prog, angles, rows):
+    def counted(prog, angles, rows, *wrt):
         chunks.append(rows)
-        return execute(prog, angles, rows)
+        return execute(prog, angles, rows, *wrt)
 
     monkeypatch.setattr(gradients, "_execute", counted)
 
@@ -211,6 +203,65 @@ def test_chunked_runs_equal_unsplit(rng, monkeypatch):
         assert a.shape == b.shape
         assert np.all(a == b)
         assert count_a == count_b
+
+
+def _shift_reference(t, Y, theta):
+    """f, d f / d theta, d f / d y and the mixed Hessian of every row from the
+    nested parameter-shift rule alone: the circuits hardware would run."""
+    prog = gradients._program(t)
+    values, partials = prog.input_values(Y), prog.input_partials(Y)
+    run = lambda *levels: gradients._run(prog, values, theta, *levels)
+    return (run(), run(prog.param_cols),
+            np.einsum("bo,boj->bj", run(prog.input_cols), partials),
+            run(prog.param_cols, prog.input_cols) @ partials)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 4),
+       depth=st.integers(1, 3), rows=st.integers(1, 3))
+def test_adjoint_sweep_agrees_with_shift_rule(seed, num_qubits, depth, rows):
+    rng = np.random.default_rng(seed)
+    t = random_template(rng, num_qubits, depth)
+    Y = rng.uniform(-1.0, 1.0, size=(rows, t.num_features))
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    f, gp, gy = sweep(t, Y, theta, params=True, inputs=True)
+    hess = mixed_hessian_batch(t, Y, theta)
+    for got, want in zip((f, gp, gy, hess), _shift_reference(t, Y, theta)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+    # and with an independent dense-matrix evaluation and differences of it
+    obs = np.diag([1.0 if b % 2 == 0 else -1.0 for b in range(1 << num_qubits)])
+
+    def dense(yy, th):
+        state = circuit_matrix(num_qubits, bind(t, yy, th))[:, 0]
+        return float(np.real(np.conj(state) @ obs @ state))
+
+    y = Y[0]
+    assert abs(f[0] - dense(y, theta)) < 1e-12
+    assert np.max(np.abs(gp[0] - central_diff(lambda th: dense(y, th), theta))) < 1e-6
+    assert np.max(np.abs(gy[0] - central_diff(lambda yy: dense(yy, theta), y))) < 1e-6
+    j = int(rng.integers(t.num_features))
+    h = 1e-4
+    yp, ym = y.copy(), y.copy()
+    yp[j] += h
+    ym[j] -= h
+    fd = (grad_params(t, yp, theta) - grad_params(t, ym, theta)) / (2 * h)
+    assert np.max(np.abs(hess[0, :, j] - fd)) < 1e-5
+
+
+def test_sweep_counts_hardware_circuits(rng):
+    t = random_template(rng, depth=2)
+    Y = rng.uniform(-0.8, 0.8, size=(3, t.num_features))
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    d, m = t.param_count, len(gradients._program(t).input_cols)
+    counter.reset()
+    sweep(t, Y, theta, params=True, inputs=True)
+    assert dataclasses.astuple(counter) == (3 * (1 + 2 * d + 2 * m), 3 * 2 * d,
+                                            3 * 2 * m, 0, 3)
+    counter.reset()
+    mixed_hessian_batch(t, Y, theta)
+    assert (counter.total, counter.hessian) == (3 * 4 * d * m, 3 * 4 * d * m)
+    assert counter.simulated == 3 * 2 * m
 
 
 def test_eval_counter_bookkeeping(rng):

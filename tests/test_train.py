@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnnff import gradients
+from qnnff.circuit import encoding_exprs
 from qnnff.data import Dataset, Sample
 from qnnff.errors import ArgumentError, DataError, NumericalError
 from qnnff.model import QffModel, initialized_model
@@ -182,8 +183,32 @@ def test_gradient_free_fit_no_param_gradients():
 def test_gradient_free_budget_flag():
     model, data = small_lih_model(depth=1, count=10)
     _, report = gradient_free_fit(model, data, LossSpec(0.0),
-                                  AdamConfig(max_steps=3))
+                                  AdamConfig(max_steps=model.param_count + 2))
     assert report.budget_exhausted or report.converged
+
+
+def test_gradient_free_budget_below_cobyla_minimum():
+    # COBYLA needs d + 2 evaluations to build its first simplex
+    model, data = small_lih_model(depth=1, count=10)
+    with pytest.raises(ArgumentError, match="d \\+ 2"):
+        gradient_free_fit(model, data, LossSpec(0.0),
+                          AdamConfig(max_steps=model.param_count + 1))
+
+
+@pytest.mark.parametrize("chi", [0.0, 1.0])
+def test_report_counts_hardware_circuits_and_simulated_passes(chi):
+    model, data = small_lih_model(depth=2, count=6)
+    _, report = adam_fit(model, data, LossSpec(chi), AdamConfig(max_steps=1))
+    b, d = len(data), model.param_count
+    m = model.template.depth * len(encoding_exprs(model.template.encoding))
+    # the shift rule's cost: 1 + 2d circuits per sample for the loss and its
+    # gradient, 2m + 4dm more for force predictions and the mixed Hessian,
+    # and 1 + 2m for the report's energies and forces
+    epoch = b * (1 + 2 * d) + (b * (2 * m + 4 * d * m) if chi else 0)
+    assert report.circuit_evals == epoch + b * (1 + 2 * m)
+    # one adjoint row per sample, plus 2m shifted rows each for the Hessian
+    assert report.simulated_passes == b + (b * 2 * m if chi else 0) + b
+    assert f"simulated_passes = {report.simulated_passes}" in report.to_text()
 
 
 def test_evaluate_rmse_perfect_model(rng):
