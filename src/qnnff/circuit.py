@@ -213,8 +213,9 @@ def bind(template: QnnTemplate, y: np.ndarray, theta: np.ndarray) -> list[BoundG
             f"expected {template.param_count} parameters, got shape {theta.shape}"
         )
     prog = _program(template)
-    angles = prog.angles(prog.input_values(y[None, :]), theta)
-    return [BoundGate(kind, qubits, np.ravel(angle)[0])
+    angles = prog.base_angles(theta)
+    angles[prog.input_cols] = prog.input_values(y[None, :])[0]
+    return [BoundGate(kind, qubits, angle)
             for kind, qubits, angle in zip(prog.kinds, prog.qubits, angles)]
 
 

@@ -355,6 +355,17 @@ def cmd_md(args) -> None:
     dynamics.write_trajectory(traj, out)
     drift = float(np.max(np.abs(traj.total - traj.total[0])))
     print(f"wrote {len(traj)} frames to {out}; energy drift {drift:.3e} eV")
+    if ff is not None:
+        frames = traj.positions
+        if len(preset.elements) == 2:
+            from .data import diatomic_geometry
+
+            frames = np.array([diatomic_geometry(r) for r in frames[:, 0]])
+        reach = np.max(np.abs(ff.pipeline.scaled_coordinates(frames)), axis=1)
+        beyond = np.flatnonzero(reach > 1.0)
+        print(f"largest |scaled coordinate| {reach.max():.4g} (fitted range "
+              f"[-1, 1]); " + (f"first frame beyond 1: {beyond[0]}" if beyond.size
+                               else "no frame beyond 1"))
 
 
 def cmd_spectrum(args) -> None:

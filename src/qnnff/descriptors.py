@@ -222,6 +222,8 @@ def minmax_fit(values) -> tuple[float, float]:
     """Column extrema for the affine [-1, 1] scaler."""
     arr = np.asarray(values, dtype=float)
     lo, hi = float(arr.min()), float(arr.max())
+    if not np.isfinite(lo + hi):
+        raise ScalerError(f"non-finite column (min {lo}, max {hi}) cannot be scaled")
     if hi <= lo:
         raise ScalerError(f"constant column (min == max == {lo}) cannot be scaled")
     return lo, hi
@@ -266,7 +268,7 @@ class DescriptorPipeline:
         if self.bounds is not None:
             self.bounds = tuple((float(a), float(b)) for a, b in self.bounds)
             for lo, hi in self.bounds:
-                if hi <= lo:
+                if not (np.isfinite(lo + hi) and hi > lo):
                     raise ScalerError(f"invalid bounds ({lo}, {hi})")
 
     @property
@@ -301,6 +303,12 @@ class DescriptorPipeline:
         q, dq = internal_coordinates(self.coords, geoms)
         y, slope = self._features(q)
         return y, slope[:, :, None] * dq[:, self._source]
+
+    def scaled_coordinates(self, geoms) -> np.ndarray:
+        """Internal coordinates (B, C) through the scaler alone: the fitted
+        range is [-1, 1], and a value beyond it is an extrapolation."""
+        lo, hi = np.array(self.bounds).T
+        return minmax_apply(internal_coordinates(self.coords, geoms)[0], lo, hi)
 
     def apply_batch(self, geoms) -> np.ndarray:
         return self.apply_with_jacobian_batch(geoms)[0]

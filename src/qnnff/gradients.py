@@ -5,9 +5,10 @@ Every parameterized gate here is generated by a Pauli string P:
 ``ry(t) = exp(-i t sigma_y / 2)`` and ``multiz(t) = exp(-i t P)``.
 
 *Adjoint mode* (Jones & Gacon, arXiv:2009.02823) runs one forward pass to
-the final state psi, sets lam = Z_0 psi, and un-applies the gates last to
-first to both states; at each gate d<Z_0>/d(angle) = 2 Im <lam|G|psi> with
-G its generator.  One sweep per sample thus gives the output, every
+the final state psi, keeping the state after every layer, sets lam = Z_0
+psi, and un-applies the layers last to first to lam; at each gate
+d<Z_0>/d(angle) = 2 Im <lam|G|psi> with G its generator, both states taken
+after the gate's layer.  One sweep per sample thus gives the output, every
 parameter derivative and every encoding-occurrence derivative, which the
 product-expression chain factors turn into d f / d y.  ``sweep``,
 ``grad_params_batch``, ``grad_inputs_batch`` and the models' energies and
@@ -30,11 +31,15 @@ nested shifts run 4dm circuits.
 The counter charges what the shift rule would run on hardware, whatever
 the simulator did, and counts the simulated rows apart.
 
-One engine runs every circuit: ``_Program`` lowers a template to ops (each
-``ry`` alone, each run of ``multiz`` gates as one diagonal phase block) plus
-the sources of its angle table, and ``_run`` forms the angle rows of each
-chunk (base angles, with one shifted column per level of the shift rule)
-and runs them through the ``statevec`` gate loop under one memory budget.
+One engine runs every circuit: ``_Program`` lowers a template to layers
+(``statevec.Layers``: rotation layers of blocks and diagonal phase blocks)
+plus the sources of its angle table, and ``_run`` forms the angles of each
+chunk (the shared angle row, and a per-row table with one shifted column
+per level of the shift rule) and runs them through the ``statevec`` layer
+loop under one memory budget.  ``_Layout`` says which layers share one
+table across rows (the trainable ones, and the D repeats of an encoding
+layer) and which take one per row (encoding layers, and any layer holding a
+shifted gate).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from .circuit import InputExpr, ParamRef, QnnTemplate, encoding_table
 from .errors import ArgumentError
-from .statevec import _expectation_z_raw, _zstring_signs, backward, forward, lower_ops
+from .statevec import Layers, Tables, _expectation_z_raw, _zstring_signs
 
 # (shift on the raw angle, coefficient on the difference) per gate kind
 _SHIFT = {"ry": (np.pi / 2, 0.5), "multiz": (np.pi / 4, 1.0)}
@@ -86,14 +91,14 @@ counter = EvalCounter()
 
 
 class _Program:
-    """Template lowered to a gate list plus the sources of its angle table.
+    """Template lowered to layers plus the sources of its angle table.
 
     Gate ``g`` applies ``kinds[g]`` to ``qubits[g]``.  Its angle is
     ``theta[param[g]]`` for a trainable gate, the input monomial of occurrence
     ``o`` (``input_cols[o] == g``) for an encoding gate, and ``const[g]``
     otherwise; ``shift[g]`` and ``coef[g]`` are its shift-rule constants.
-    The gate loop runs ``ops`` (``statevec.lower_ops``); ``block[g]`` numbers
-    the diagonal block that holds gate g, -1 for a rotation.
+    ``layers`` (``statevec.Layers``) runs the gates; ``layout(levels)`` says
+    how a set of shift levels binds their tables.
     """
 
     def __init__(self, template: QnnTemplate):
@@ -119,6 +124,7 @@ class _Program:
                 self.param_cols[index[src]] = g
             else:
                 self.const[g] = float(src)
+        self.trained = np.flatnonzero(self.param >= 0)
         self.input_cols = np.array([g for g, _ in exprs], dtype=int)
         self.monomials = encoding_table(template.encoding)
         position = {ix: k for k, ix in enumerate(self.monomials.index_sets)}
@@ -126,11 +132,10 @@ class _Program:
             raise ArgumentError("an input gate applies no monomial of the "
                                 "template's encoding stage")
         self.occurrence = np.array([position[ix] for _, ix in exprs], dtype=int)
-        self.ops = lower_ops(self.num_qubits, self.kinds, self.qubits)
-        self.block = np.full(len(gates), -1)
-        for k, cols in enumerate(c for kind, _, c in self.ops if kind == "phase"):
-            self.block[cols] = k
+        self.sweep_cols = np.r_[self.param_cols, self.input_cols, -1]
+        self.layers = Layers(self.num_qubits, self.kinds, self.qubits)
         self.observable = _zstring_signs(self.num_qubits, (OBSERVABLE_QUBIT,))
+        self._layouts = {}
 
     def input_values(self, features: np.ndarray) -> np.ndarray:
         """Bound angle of every input occurrence for every sample, (B, m)."""
@@ -140,59 +145,115 @@ class _Program:
         """d(angle of occurrence o)/d y_j for every sample, (B, m, n)."""
         return self.monomials.partials(features)[:, self.occurrence]
 
-    def row_cols(self, levels) -> np.ndarray:
-        """Gate columns whose angle varies by row: the inputs, in occurrence
-        order, then the other shifted gates."""
-        if not levels:
-            return self.input_cols
-        shifted = np.concatenate((self.input_cols,) + tuple(levels))
-        return np.concatenate([self.input_cols,
-                               np.setdiff1d(shifted, self.input_cols)])
+    def base_angles(self, theta: np.ndarray) -> np.ndarray:
+        """Angle of every gate that is not an input, (G,)."""
+        base = self.const.copy()
+        base[self.trained] = theta[self.param[self.trained]]
+        return base
+
+    def layout(self, levels) -> "_Layout":
+        key = tuple(tuple(level) for level in levels)
+        if key not in self._layouts:
+            self._layouts[key] = _Layout(self, levels)
+        return self._layouts[key]
 
     def row_bytes(self, levels, adjoint: bool) -> int:
-        """Bytes one row of a chunk holds: its amplitudes and row-varying
-        angles and, in an adjoint sweep, the second state, the phase of every
-        block with a row-varying angle and the derivative table."""
-        cols = self.row_cols(levels)
-        size = (16 << self.num_qubits) + 8 * len(cols)
-        if adjoint:
-            blocks = self.block[cols]
-            varying = len(np.unique(blocks[blocks >= 0]))
-            size += ((16 << self.num_qubits) * (1 + varying)
-                     + 8 * (len(self.kinds) + 1))
-        return size
+        """Bytes one row of a chunk holds (``_Layout.row_bytes``)."""
+        return self.layout(levels).row_bytes[adjoint]
 
     def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
-               levels=()) -> list:
-        """Angle of every gate over a block of rows.
+               levels=()) -> tuple:
+        """Angles of a block of rows: ``(layout, base, table)``, with the
+        angle row (1, G) of the layers every row shares and the table (rows,
+        U) of ``layout.row_gates``, the gates of the layers with a table per
+        row.
 
         ``idx`` gives each row's sample and, per level, its shifted column
         position and sign (0 for +, 1 for -), as ``np.unravel_index`` returns
         them over the shape (samples, len(level_1), 2, len(level_2), 2, ...);
-        by default the rows are the samples, unshifted.  Input and shifted
-        columns come back as (rows,) arrays, every other angle as a scalar.
+        by default the rows are the samples, unshifted.
         """
+        layout = self.layout(levels)
         sample = np.arange(values.shape[0]) if idx is None else idx[0]
-        base = self.const.copy()
-        trained = self.param >= 0
-        base[trained] = theta[self.param[trained]]
-        cols = self.row_cols(levels)
-        pos = np.empty(len(base), dtype=int)
-        pos[cols] = np.arange(len(cols))
-        m = len(self.input_cols)
-        table = np.empty((len(cols), sample.size))
-        table[m:] = base[cols[m:], None]
-        # mode="clip" gathers straight into the table; "raise" would buffer
-        np.take(values.T, sample, axis=1, out=table[:m], mode="clip")
+        base = self.base_angles(theta)
+        table = np.empty((sample.size, len(layout.row_gates)))
+        table[:] = base[layout.row_gates]
+        table[:, layout.input_at] = values[sample[:, None], layout.input_occ]
         rows = np.arange(sample.size)
         for depth, level in enumerate(levels):
             col = level[idx[1 + 2 * depth]]
             sign = 1.0 - 2.0 * idx[2 + 2 * depth]
-            table[pos[col], rows] += sign * self.shift[col]
-        angles = list(base)
-        for k, g in enumerate(cols):
-            angles[g] = table[k]
-        return angles
+            table[rows, layout.position[col]] += sign * self.shift[col]
+        return layout, base[None], table
+
+
+class _Layout:
+    """How the layers take their tables under one set of shift levels.
+
+    A layer with no input and no shifted gate takes one table that every row
+    shares.  Every other layer takes one table per row, built from the
+    columns of the per-row angle table that ``row_gates`` lists; the repeats
+    of an encoding layer none of whose gates is shifted share one.
+    """
+
+    def __init__(self, prog: _Program, levels):
+        shifted = set(np.concatenate(levels).tolist()) if levels else set()
+        occurrence = {g: o for o, g in enumerate(prog.input_cols.tolist())}
+        shared, per_row, gates, seen = [], [], [], {}
+        source = []   # per layer: (0 shared or 1 per row, its index there)
+        for op in prog.layers.ops:
+            kind, data, cols = op
+            cols = cols.tolist()
+            if not any(g in occurrence or g in shifted for g in cols):
+                source.append((0, len(shared)))
+                shared.append(op)
+                continue
+            key = None if shifted.intersection(cols) else (kind, tuple(
+                (prog.qubits[g], prog.occurrence[occurrence[g]]) if g in occurrence
+                else g for g in cols))
+            if key in seen:
+                source.append((1, seen[key]))
+                continue
+            if key is not None:
+                seen[key] = len(per_row)
+            source.append((1, len(per_row)))
+            per_row.append((kind, data, np.arange(len(gates), len(gates) + len(cols))))
+            gates += cols
+        self.row_gates = np.array(gates, dtype=int)
+        self.input_at = np.array([u for u, g in enumerate(gates) if g in occurrence],
+                                 dtype=int)
+        self.input_occ = np.array([occurrence[gates[u]] for u in self.input_at],
+                                  dtype=int)
+        self.position = np.full(len(prog.kinds), -1)
+        self.position[self.row_gates] = np.arange(len(gates))
+        n = prog.num_qubits
+        self.shared, self.per_row = Tables(n, shared), Tables(n, per_row)
+        groups = (self.shared, self.per_row)
+        # per kernel call, its group and its step there
+        self.steps = [(group, groups[group].first[j] + k)
+                      for (group, j), op in zip(source, prog.layers.ops)
+                      for k in range(len(op[1]) if op[0] == "ry" else 1)]
+        self.memo = (None, None)   # the shared tables of the last angle row
+        # bytes one row of a chunk holds: its amplitudes with their
+        # temporaries, its angles and tables and, in an adjoint sweep, the
+        # states kept after every layer and the derivative table
+        amps = 16 << n
+        size = 3 * amps + 8 * len(gates) + self.per_row.row_bytes()
+        self.row_bytes = {False: size, True: size + 2 * len(source) * amps
+                          + 8 * (len(prog.kinds) + 2)}
+
+    def tables(self, base: np.ndarray, table: np.ndarray, adjoint: bool):
+        """The tables of every kernel call and, with ``adjoint``, those that
+        un-apply them, from ``_Program.angles``' parts.  The shared tables
+        are kept for the next call with the same angle row."""
+        key, memo = base.tobytes(), self.memo
+        if memo[0] != key:
+            memo = self.memo = key, self.shared.build(base, adjoint=True)
+        groups = (memo[1], self.per_row.build(table, adjoint))
+        forward = [groups[group][0][s] for group, s in self.steps]
+        if not adjoint:
+            return forward, None
+        return forward, [groups[group][1][s] for group, s in self.steps]
 
 
 @lru_cache(maxsize=64)
@@ -206,21 +267,23 @@ def _zero_states(rows: int, num_qubits: int) -> np.ndarray:
     return amps
 
 
-def _execute(prog: _Program, angles: list, rows: int, wrt=None) -> np.ndarray:
-    """Run the program over `rows` circuits; angles are scalars or (rows,)
-    arrays.  Returns <Z_0> per row or, with ``wrt``, an adjoint sweep's
-    d<Z_0>/d(angle of gate g) for each g in ``wrt``, (rows, len(wrt)), where
-    g = -1 stands for <Z_0> itself."""
-    n = prog.num_qubits
-    phases = None if wrt is None else []
-    amps = forward(_zero_states(rows, n), n, prog.ops, angles, phases)
-    value = _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
+def _execute(prog: _Program, angles: tuple, rows: int, wrt=None) -> np.ndarray:
+    """Run the program over `rows` circuits with the angles that
+    ``_Program.angles`` formed.  Returns <Z_0> per row or, with ``wrt``, an
+    adjoint sweep's d<Z_0>/d(angle of gate g) for each g in ``wrt``, (rows,
+    len(wrt)), where g = -1 stands for <Z_0> itself."""
+    layout, base, table = angles
+    layers, n = prog.layers, prog.num_qubits
+    tables, back = layout.tables(base, table, wrt is not None)
     if wrt is None:
-        return value
-    table = np.empty((rows, len(prog.kinds) + 1))
-    table[:, -1] = value
-    backward(amps, amps * prog.observable, n, prog.ops, angles, phases, table)
-    return table[:, wrt]
+        amps = layers.forward(_zero_states(rows, n), tables)
+        return _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
+    states = np.empty((2, len(layers.ops), rows, 1 << n), dtype=complex)
+    amps = layers.forward(_zero_states(rows, n), tables, states[0])
+    grads = np.empty((rows, len(prog.kinds) + 2))
+    grads[:, -1] = _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
+    layers.backward(states[0], states[1], prog.observable, back, grads)
+    return grads[:, wrt]
 
 
 def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels,
@@ -300,7 +363,7 @@ def _sweep(template, features, theta, params, inputs, value=True):
     counter.grad_inputs += 2 * b * m * inputs
     if not (params or inputs):
         return _run(prog, values, theta), None, None
-    table = _run(prog, values, theta, wrt=np.r_[prog.param_cols, prog.input_cols, -1])
+    table = _run(prog, values, theta, wrt=prog.sweep_cols)
     grad_theta = table[:, :d] if params else None
     grad_y = (np.einsum("bo,boj->bj", table[:, d:-1], prog.input_partials(feats))
               if inputs else None)

@@ -213,6 +213,13 @@ def load_checkpoint(path):
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
     try:
+        # json reads NaN and Infinity; no checkpoint field may hold them
+        for name, value in (("theta", payload["theta"]),
+                            ("energy_scale", payload["energy_scale"]),
+                            ("energy_offset", payload["energy_offset"]),
+                            ("pipeline bounds", payload["pipeline"].get("bounds"))):
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise CheckpointError(f"{path}: non-finite value in {name}")
         pipeline = pipeline_from_dict(payload["pipeline"])
         scale = float(payload["energy_scale"])
         offset = float(payload["energy_offset"])
@@ -228,3 +235,5 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unknown model family {family!r}")
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing checkpoint field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint field: {exc}") from exc

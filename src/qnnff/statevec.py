@@ -8,6 +8,16 @@ Conventions (fixed for reproducibility, checked by the test suite):
 * ``multiz(phi)`` on qubits ``(j1 .. jk)`` is ``exp(-i phi Z_{j1} ... Z_{jk})``
   with a *full* angle (no 1/2 factor).
 
+Circuits run as layers (``Layers``), one kernel call per layer and block
+rather than per gate: a run of ``ry`` on distinct qubits is a Kronecker
+product of real blocks on windows of at most 3 neighbouring qubits, each one
+stacked matmul (``_apply_kind``), and a run of ``multiz`` is one phase vector
+(``_apply_phase``).  ``Tables`` builds every layer's table of a call in one
+vectorised pass per kind, with a row axis of length 1 where all rows share
+it.  ``Layers.backward`` is the adjoint sweep: it keeps the state after every
+layer, un-applies each layer to lam with one op, and contracts once per qubit
+for the rotations and once for the phase blocks.
+
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
 evaluated concurrently.
@@ -15,7 +25,6 @@ evaluated concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -95,9 +104,27 @@ def init_zero(num_qubits: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Gate kernels.  They act on the last axis of an array shaped (..., 2**n) so
-# the same code drives single states and batched evaluation, with an angle
-# that is either a scalar or an array matching the leading axes.
+# Layers.  A circuit runs as a list of layers (``lower_ops``): each run of
+# consecutive ``ry`` on distinct qubits is one rotation layer and each run of
+# consecutive ``multiz`` (diagonal, commuting) one phase block.  A layer acts
+# through tables.  A rotation layer is a Kronecker product of real blocks,
+# one per window of at most BLOCK_QUBITS neighbouring qubits (``_windows``),
+# each applied by one stacked matmul; a phase block is the phase vector
+# exp(-i A S) of its angles A and sign table S.  Tables carry a leading row
+# axis, of length 1 when every row shares them.
+
+BLOCK_QUBITS = 3
+
+# a 2x2 rotation [[c, -s], [s, c]] as picks from (c, s) and signs
+_ROT_PICK = np.array([[0, 1], [1, 0]])
+_ROT_SIGN = np.array([[1.0, -1.0], [1.0, 1.0]])
+
+# sign of Re <lam|psi with one qubit flipped> in Im <lam|sigma_y|psi>, by the
+# value of that qubit's bit in lam's basis state
+_FLIP_SIGN = np.array([-1.0, 1.0])
+
+_I2 = np.eye(2)
+
 
 @lru_cache(maxsize=256)
 def _zstring_signs(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -109,57 +136,45 @@ def _zstring_signs(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     return (1 - 2 * parity).astype(float)
 
 
-@lru_cache(maxsize=256)
-def _bit_flip(num_qubits: int, qubit: int):
-    """Basis index with ``qubit`` flipped, and -1/+1 where that bit is 0/1."""
-    idx = np.arange(1 << num_qubits)
-    return idx ^ (1 << qubit), np.where((idx >> qubit) & 1, 1.0, -1.0)
+def _windows(num_qubits: int) -> list:
+    return [tuple(range(lo, min(lo + BLOCK_QUBITS, num_qubits)))
+            for lo in range(0, num_qubits, BLOCK_QUBITS)]
 
 
-def _apply_ry(amps: np.ndarray, num_qubits: int, qubit: int, angle) -> np.ndarray:
-    # new |0> = c |0> - s |1>, new |1> = s |0> + c |1> on the rotated qubit
-    flip, sign = _bit_flip(num_qubits, qubit)
-    if np.ndim(angle):
-        half = np.asarray(angle, dtype=float)[..., None] / 2.0
-        c, s = np.cos(half), np.sin(half)
-    else:
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return c * amps + (s * sign) * amps[..., flip]
+def _low_window(num_qubits: int, qubits) -> bool:
+    """Whether a block on ``qubits`` runs as a right product (``_apply_kind``)."""
+    return qubits[0] == 0 and len(qubits) < num_qubits
 
 
 def _apply_kind(amps: np.ndarray, num_qubits: int, kind: str,
-                qubits: tuple[int, ...], angle) -> np.ndarray:
-    """One non-diagonal gate; diagonal gates run in blocks (``_apply_phase``)."""
-    if kind == "ry":
-        return _apply_ry(amps, num_qubits, qubits[0], angle)
-    raise ArgumentError(f"no single-gate kernel for kind {kind!r}")
-
-
-def _apply_phase(amps: np.ndarray, signs: np.ndarray, angles):
-    """A diagonal block: commuting Z-strings with sign table ``signs`` (k,
-    2**n) and angles ``a_1 .. a_k`` act as the phase vector exp(-i A S).
-    Returns the new amplitudes and the phase, (2**n,) when every angle is a
-    scalar and (rows, 2**n) otherwise.  The contraction is an einsum, whose
-    rounding per row does not depend on the number of rows."""
-    if all(np.ndim(a) == 0 for a in angles):
-        phase = np.exp(-1j * np.einsum("k,kx->x", np.array(angles, dtype=float),
-                                       signs))
+                qubits: tuple[int, ...], table: np.ndarray, out=None) -> np.ndarray:
+    """One rotation block, the real matrix K of a layer's rotations on the
+    window ``qubits`` (k neighbouring qubits, lowest first), applied to
+    amplitudes (rows, 2**n) by one stacked matmul.  ``table`` is K as (rows
+    or 1, 1, 2**k, 2**k), which multiplies the window's axis from the left;
+    on a low window (``_low_window``) it is kron(K^T, I_2) as (rows or 1,
+    2**(k+1), 2**(k+1)), which multiplies each run of 2**k amplitudes from
+    the right, one product per row instead of one per higher basis state.
+    Each row's products run on their own, so their rounding does not depend
+    on the number of rows.  Writes into ``out`` when given."""
+    if kind != "ry":
+        raise ArgumentError(f"no block kernel for kind {kind!r}")
+    rows, k, lo = len(amps), len(qubits), qubits[0]
+    if _low_window(num_qubits, qubits):
+        shape = (rows, 1 << (num_qubits - k), 2 << k)
+        operands = (amps.view(float).reshape(shape), table)
     else:
-        table = np.stack(np.broadcast_arrays(*angles), axis=-1)
-        phase = np.exp(-1j * np.einsum("rk,kx->rx", table, signs))
-    return amps * phase, phase
+        shape = (rows, 1 << (num_qubits - lo - k), 1 << k, 2 << lo)
+        operands = (table, amps.view(float).reshape(shape))
+    if out is not None:
+        np.matmul(*operands, out=out.view(float).reshape(shape))
+        return out
+    return np.matmul(*operands).reshape(rows, -1).view(complex)
 
 
-# d f / d(ry angle) = Re(<lam_1|psi_0> - <lam_0|psi_1>) on the rotated qubit,
-# written as lam_i J_ij psi_j over real and imaginary parts
-_RY_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _ry_derivative(pair: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """2 Im <lam| sigma_y / 2 |psi> per row of the stacked (psi, lam) pair."""
-    parts = pair.view(float).reshape(
-        2, pair.shape[1], 1 << (num_qubits - 1 - qubit), 2, 2 << qubit)
-    return np.einsum("ij,rhik,rhjk->r", _RY_GENERATOR, parts[1], parts[0])
+def _apply_phase(amps: np.ndarray, phase: np.ndarray, out=None) -> np.ndarray:
+    """One phase block: amplitudes (rows, 2**n) times its phase vector."""
+    return np.multiply(amps, phase, out=out)
 
 
 def _expectation_z_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
@@ -167,64 +182,239 @@ def _expectation_z_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndar
     return (signs * (amps.real ** 2 + amps.imag ** 2)).sum(axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# The gate loop: every circuit run lowers its gates to ops and runs them here.
-
 def lower_ops(num_qubits: int, kinds, qubits) -> list:
-    """Group a gate list into the ops the gate loop runs: ``("ry", qubit,
-    g)`` per rotation and ``("phase", signs, cols)`` per run of consecutive
-    ``multiz`` gates ``cols``, which are diagonal and commute."""
+    """Group a gate list into layers ``(kind, data, cols)`` over the gate
+    columns ``cols``: ``("ry", blocks, cols)`` for a run of consecutive
+    ``ry`` on distinct qubits, with ``(window, slot)`` in ``blocks`` for each
+    window holding one of them, ``slot[t]`` the position in ``cols`` of the
+    gate on the window's t-th qubit from the top or -1; and ``("phase",
+    signs, cols)`` for a run of consecutive ``multiz``, with its sign table
+    (len(cols), 2**n)."""
     ops, run = [], []
 
-    def close_run():
-        if run:
-            signs = np.stack([_zstring_signs(num_qubits, tuple(sorted(qubits[g])))
-                              for g in run])
-            ops.append(("phase", signs, np.array(run)))
-            run.clear()
+    def close():
+        if not run:
+            return
+        cols = np.array(run)
+        if kinds[run[0]] == "multiz":
+            ops.append(("phase", np.stack([
+                _zstring_signs(num_qubits, tuple(sorted(qubits[g]))) for g in run]),
+                cols))
+        else:
+            where = {qubits[g][0]: k for k, g in enumerate(run)}
+            ops.append(("ry", tuple(
+                (w, np.array([where.get(q, -1) for q in reversed(w)]))
+                for w in _windows(num_qubits) if any(q in where for q in w)), cols))
+        run.clear()
 
     for g, kind in enumerate(kinds):
-        if kind == "multiz":
-            run.append(g)
-        else:
-            close_run()
-            ops.append((kind, qubits[g][0], g))
-    close_run()
+        if run and (kind != kinds[run[0]] or kind == "ry" and any(
+                qubits[h][0] == qubits[g][0] for h in run)):
+            close()
+        run.append(g)
+    close()
     return ops
 
 
-def forward(amps: np.ndarray, num_qubits: int, ops, angles, phases=None):
-    """The gate loop behind every circuit run: apply ``ops`` (``lower_ops``)
-    left to right to amplitudes shaped (..., 2**n).  ``angles[g]`` is gate
-    g's angle, a scalar or one per row; each block's phase is appended to
-    ``phases`` when given, for ``backward``."""
-    for kind, where, cols in ops:
-        if kind == "phase":
-            amps, phase = _apply_phase(amps, where, [angles[g] for g in cols])
-            if phases is not None:
-                phases.append(phase)
-        else:
-            amps = _apply_kind(amps, num_qubits, kind, (where,), angles[cols])
-    return amps
+def _padded_phases(num_qubits: int, ops):
+    """Gate columns (P, w) and sign tables (P, w, 2**n) of the P phase blocks
+    in ``ops``, padded to the widest block w with column -1 and zero signs."""
+    blocks = [(signs, cols) for kind, signs, cols in ops if kind == "phase"]
+    width = max((len(cols) for _, cols in blocks), default=0)
+    cols = np.full((len(blocks), width), -1)
+    signs = np.zeros((len(blocks), width, 1 << num_qubits))
+    for p, (block_signs, block_cols) in enumerate(blocks):
+        cols[p, :len(block_cols)] = block_cols
+        signs[p, :len(block_cols)] = block_signs
+    return cols, signs
 
 
-def backward(psi: np.ndarray, lam: np.ndarray, num_qubits: int, ops, angles,
-             phases, grads: np.ndarray) -> None:
-    """Adjoint sweep: un-apply ``ops`` last to first to the stacked final
-    state ``psi`` (rows, 2**n) and ``lam = O psi``, writing d<O>/d(angle of
-    gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]``, with G_g the gate's
-    generator and both states taken just after the gate acted.  The gates of
-    a block commute, so one contraction with its sign table gives them all."""
-    pair = np.stack((psi, lam))
-    phases = iter(reversed(phases))
-    for kind, where, cols in reversed(ops):
-        if kind == "phase":
-            overlap = (np.conj(pair[1]) * pair[0]).imag
-            grads[:, cols] = 2.0 * np.einsum("rx,kx->rk", overlap, where)
-            pair = pair * np.conj(next(phases))
-        else:
-            grads[:, cols] = _ry_derivative(pair, num_qubits, where)
-            pair = _apply_kind(pair, num_qubits, kind, (where,), -angles[cols])
+def _steps(ops) -> list:
+    """The kernel calls of ``ops`` in order: one per rotation block, with its
+    window, and one per phase block, with None."""
+    return [(window, i) for i, (kind, data, _) in enumerate(ops)
+            for window in ([w for w, _ in data] if kind == "ry" else [None])]
+
+
+class Tables:
+    """Builds the table of every kernel call (``_steps``) of ``ops`` from an
+    angle matrix (rows or 1, C) whose column c holds the angle of gate column
+    c: one vectorised pass for all rotation blocks of a window size and one
+    for all phase blocks, every row on its own."""
+
+    def __init__(self, num_qubits: int, ops):
+        steps = _steps(ops)
+        self.first = {}   # op -> its first step
+        for s, (_, i) in enumerate(steps):
+            self.first.setdefault(i, s)
+        self.rotations = []   # (size, gate column per slot, filled slots,
+        #                        blocks, positions of the low-window blocks)
+        by_size = {}
+        for s, (window, i) in enumerate(steps):
+            if window is not None:
+                _, data, cols = ops[i]
+                slot = dict(data)[window]
+                gates, where, low = by_size.setdefault(len(window), ([], [], []))
+                gates.append(np.where(slot >= 0, cols[slot], -1))
+                low.append(_low_window(num_qubits, window))
+                where.append(s)
+        order = []
+        for size, (gates, where, low) in sorted(by_size.items()):
+            gates = np.concatenate(gates)
+            filled = gates >= 0
+            self.rotations.append((size, gates[filled],
+                                   None if filled.all() else filled, len(where),
+                                   np.flatnonzero(low)))
+            order += where
+        order += [s for s, (w, _) in enumerate(steps) if w is None]
+        self.order = np.argsort(order).tolist()
+        # a padding column reads the last angle under a zero sign
+        self.phase_cols, self.phase_signs = _padded_phases(num_qubits, ops)
+
+    def row_bytes(self) -> int:
+        """Bytes the tables of one row take while they are built and used."""
+        size = 0
+        for k, gates, filled, blocks, low in self.rotations:
+            size += 80 * (len(gates) if filled is None else len(filled))
+            size += blocks * (24 << 2 * k) + len(low) * (96 << 2 * k)
+        return (size + 8 * self.phase_cols.size
+                + 56 * len(self.phase_cols) * self.phase_signs.shape[-1])
+
+    def build(self, angles: np.ndarray, adjoint: bool = False):
+        """Per step, in order: the table of a rotation block as
+        ``_apply_kind`` takes it, or the phase (R, 2**n) of a phase block.
+        With ``adjoint``, also the tables that un-apply each step."""
+        rows = len(angles)
+        forward, back = [], []
+        for k, gates, filled, count, low in self.rotations:
+            half = angles[:, gates] * 0.5
+            if filled is not None:
+                half, part = np.zeros((rows, len(filled))), half
+                half[:, filled] = part
+            trig = np.empty(half.shape + (2,))
+            np.cos(half, out=trig[..., 0])
+            np.sin(half, out=trig[..., 1])
+            mats = (trig[..., _ROT_PICK] * _ROT_SIGN).reshape(rows, count, k, 2, 2)
+            blocks = mats[:, :, 0]
+            for t in range(1, k):   # Kronecker product, highest qubit first
+                d = blocks.shape[-1]
+                blocks = (blocks[..., :, None, :, None]
+                          * mats[:, :, t, None, :, None, :]).reshape(
+                              rows, count, 2 * d, 2 * d)
+            tables = list(blocks[:, :, None].swapaxes(0, 1))
+            if len(low):   # kron(K^T, I_2)
+                right = np.multiply(blocks[:, low].swapaxes(-1, -2)[..., :, None, :, None],
+                                    _I2[:, None, :], order="C").reshape(
+                                        rows, len(low), 2 << k, 2 << k)
+                for j, table in zip(low, right.swapaxes(0, 1)):
+                    tables[j] = table
+            forward += tables
+            if adjoint:
+                back += [table.swapaxes(-1, -2) for table in tables]
+        if len(self.phase_cols):
+            # one matrix-vector product per row and block, on a C-ordered
+            # gather: ``angles[:, cols]`` would lay the rows innermost, and a
+            # strided vector is summed in another order than a contiguous one
+            exponent = np.matmul(np.take(angles, self.phase_cols, axis=1)[:, :, None],
+                                 self.phase_signs)[:, :, 0]
+            phase = np.exp(-1j * exponent).swapaxes(0, 1)
+            forward += list(phase)
+            if adjoint:
+                back += list(np.conj(phase))
+        forward = [forward[s] for s in self.order]
+        return forward, [back[s] for s in self.order] if adjoint else None
+
+
+class Layers:
+    """A gate list lowered to layers, with the gate loop and the adjoint sweep
+    over them.  An adjoint run keeps the state after every layer in one
+    (layers, rows, 2**n) array, in slots that put the rotation layers
+    first, so each kind's states form one contiguous slice."""
+
+    def __init__(self, num_qubits: int, kinds, qubits):
+        self.num_qubits = num_qubits
+        self.ops = ops = lower_ops(num_qubits, kinds, qubits)
+        rot = [i for i, op in enumerate(ops) if op[0] == "ry"]
+        phase = [i for i, op in enumerate(ops) if op[0] == "phase"]
+        slot = [0] * len(ops)
+        for k, i in enumerate(rot + phase):
+            slot[i] = k
+        steps = _steps(ops)
+        last = {i: s for s, (_, i) in enumerate(steps)}
+        # (window or None, state slot written after the step or None)
+        self.steps = [(w, slot[i] if last[i] == s else None)
+                      for s, (w, i) in enumerate(steps)]
+        # un-apply layers last to first but the first, from lam after the
+        # layer into lam after the one before it:
+        # (window or None, step, slot read or None, slot written or None)
+        self.back_steps = []
+        for i in range(len(ops) - 1, 0, -1):
+            mine = [s for s, (_, j) in enumerate(steps) if j == i][::-1]
+            self.back_steps += [
+                (steps[s][0], s, slot[i] if t == 0 else None,
+                 slot[i - 1] if t == len(mine) - 1 else None)
+                for t, s in enumerate(mine)]
+        self.last_slot = slot[-1] if ops else None
+        self.num_rotations = len(rot)
+        spare = len(kinds)   # the gradient column that takes padding
+        # per qubit, the gate rotating it in each rotation layer
+        on_qubit = np.full((num_qubits, len(rot)), spare)
+        for layer, i in enumerate(rot):
+            for g in ops[i][2]:
+                on_qubit[qubits[g][0], layer] = g
+        self.rotation_cols = [(q, cols) for q, cols in enumerate(on_qubit)
+                              if np.any(cols < spare)]
+        cols, signs = _padded_phases(num_qubits, ops)
+        self.phase_cols = np.where(cols < 0, spare, cols).ravel()
+        # 2 S^T, one (2**n, w) matrix per block
+        self.phase_signs = np.ascontiguousarray(2.0 * signs.swapaxes(1, 2))[:, None]
+
+    def forward(self, amps: np.ndarray, tables, states=None) -> np.ndarray:
+        """Apply every layer to amplitudes (rows, 2**n), step s through
+        ``tables[s]``; the state after each layer goes to its slot of
+        ``states`` when that is given."""
+        n = self.num_qubits
+        for (window, slot), table in zip(self.steps, tables):
+            out = None if states is None or slot is None else states[slot]
+            if window is None:
+                amps = _apply_phase(amps, table, out)
+            else:
+                amps = _apply_kind(amps, n, "ry", window, table, out)
+        return amps
+
+    def backward(self, psi: np.ndarray, lam: np.ndarray, observable: np.ndarray,
+                 back, grads: np.ndarray) -> None:
+        """Adjoint sweep over the states ``psi`` that ``forward`` kept: set
+        lam = O psi after the last layer, un-apply the layers last to first
+        into ``lam`` (step s through ``back[s]``), and write d<O>/d(angle of
+        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]``, G_g being the
+        gate's generator and column len(kinds) taking padding.  Both states
+        are taken after the gate's layer, whose other gates commute with G_g.
+        One contraction per qubit gives its rotations in every layer (lam
+        against psi with that qubit flipped, signed by its bit), one all
+        phase blocks."""
+        n = self.num_qubits
+        np.multiply(psi[self.last_slot], observable, out=lam[self.last_slot])
+        for window, s, src, dst in self.back_steps:
+            if src is not None:
+                amps = lam[src]
+            out = None if dst is None else lam[dst]
+            if window is None:
+                amps = _apply_phase(amps, back[s], out)
+            else:
+                amps = _apply_kind(amps, n, "ry", window, back[s], out)
+        rows, r = psi.shape[1], self.num_rotations
+        for q, cols in self.rotation_cols:
+            shape = (r, rows, 1 << (n - 1 - q), 2, 2 << q)
+            grads[:, cols] = np.einsum(
+                "lrhik,lrhik,i->rl", lam[:r].view(float).reshape(shape),
+                psi[:r].view(float).reshape(shape)[:, :, :, ::-1], _FLIP_SIGN)
+        if r < len(self.ops):   # one vector-matrix product per block and row
+            overlap = lam[r:]
+            np.conjugate(overlap, out=overlap)
+            np.multiply(overlap, psi[r:], out=overlap)
+            grads[:, self.phase_cols] = np.matmul(
+                overlap.imag[:, :, None], self.phase_signs)[:, :, 0].swapaxes(0, 1).reshape(rows, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +433,12 @@ def run_circuit(state: StateVector, gates) -> StateVector:
     gates = list(gates)
     for gate in gates:
         _check_qubits(state, gate.qubits)
-    ops = lower_ops(state.num_qubits, [g.kind for g in gates],
+    layers = Layers(state.num_qubits, [g.kind for g in gates],
                     [g.qubits for g in gates])
-    amps = forward(state.amplitudes, state.num_qubits, ops,
-                   [g.angle for g in gates])
-    return StateVector(state.num_qubits, amps)
+    tables, _ = Tables(state.num_qubits, layers.ops).build(
+        np.array([[g.angle for g in gates]]))
+    amps = layers.forward(state.amplitudes[None], tables)
+    return StateVector(state.num_qubits, amps[0])
 
 
 def apply_gate(state: StateVector, gate: BoundGate) -> StateVector:

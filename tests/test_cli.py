@@ -149,6 +149,34 @@ def test_md_non_finite_forces_exit_numerical(tmp_path, monkeypatch):
                "--out", tmp_path / "traj.txt") == 4
 
 
+def test_md_reports_leaving_the_fitted_range(tmp_path, tiny_checkpoint, capsys):
+    # the fixture's bonds span 0.9-8.1 A, so a start at 9.5 A extrapolates
+    assert run("md", "--checkpoint", tiny_checkpoint, "--r0", 9.5,
+               "--steps", 5, "--out", tmp_path / "traj.txt") == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("largest |scaled coordinate| ")
+    assert float(line.split()[3]) > 1.0
+    assert line.endswith("first frame beyond 1: 0")
+
+
+def test_md_inside_the_fitted_range(tmp_path, tiny_checkpoint, capsys):
+    assert run("md", "--checkpoint", tiny_checkpoint, "--r0", 2.0,
+               "--steps", 5, "--out", tmp_path / "traj.txt") == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert float(line.split()[3]) <= 1.0
+    assert line.endswith("no frame beyond 1")
+
+
+def test_eval_non_finite_checkpoint_is_data_error(tmp_path, tiny_checkpoint,
+                                                 lih_file, capsys):
+    payload = json.loads(open(tiny_checkpoint).read())
+    payload["theta"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))
+    assert run("eval", "--checkpoint", bad, "--data", lih_file) == 3
+    assert "non-finite value in theta" in capsys.readouterr().err
+
+
 def test_md_requires_source(tmp_path):
     assert run("md", "--preset", "lih") == 2
 

@@ -171,6 +171,18 @@ def test_minmax_constant_column():
         minmax_fit([1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_minmax_non_finite_column(bad):
+    with pytest.raises(ScalerError):
+        minmax_fit([1.0, bad, 2.0])
+
+
+def test_pipeline_rejects_non_finite_bounds():
+    p = lih_pipeline()
+    with pytest.raises(ScalerError):
+        DescriptorPipeline(p.coords, p.features, ((0.9, float("nan")),))
+
+
 def test_lih_pipeline_midpoint():
     p = lih_pipeline()
     geom = np.array([[0, 0, 0], [2.7, 0, 0]], float)  # scaled value 0

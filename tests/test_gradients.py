@@ -171,7 +171,21 @@ def test_batch_matches_single_sample(rng):
 def test_chunked_runs_equal_unsplit(rng, monkeypatch):
     # a small memory budget splits every call into several chunks, with
     # boundaries falling inside a sample's shift variants
-    t = random_template(rng, depth=2)
+    _assert_chunks_equal_unsplit(random_template(rng, depth=2), rng, monkeypatch)
+
+
+@pytest.mark.parametrize("num_qubits", [4, 5, 6, 7])
+def test_chunked_runs_equal_unsplit_on_wider_registers(num_qubits, monkeypatch):
+    # from 4 qubits a rotation layer has 2-3 blocks, the low one a right
+    # product; wider phase blocks sum more terms per row
+    rng = np.random.default_rng(num_qubits)
+    for _ in range(3):
+        with monkeypatch.context() as patch:
+            _assert_chunks_equal_unsplit(random_template(rng, num_qubits, depth=2),
+                                         rng, patch)
+
+
+def _assert_chunks_equal_unsplit(t, rng, monkeypatch):
     Y = rng.uniform(-0.8, 0.8, size=(7, t.num_features))
     theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
     calls = [(eval_qnn_batch, Y), (grad_params_batch, Y),
@@ -217,7 +231,7 @@ def _shift_reference(t, Y, theta):
 
 
 @settings(max_examples=30, deadline=None, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 4),
+@given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 6),
        depth=st.integers(1, 3), rows=st.integers(1, 3))
 def test_adjoint_sweep_agrees_with_shift_rule(seed, num_qubits, depth, rows):
     rng = np.random.default_rng(seed)
@@ -247,6 +261,69 @@ def test_adjoint_sweep_agrees_with_shift_rule(seed, num_qubits, depth, rows):
     ym[j] -= h
     fd = (grad_params(t, yp, theta) - grad_params(t, ym, theta)) / (2 * h)
     assert np.max(np.abs(hess[0, :, j] - fd)) < 1e-5
+
+
+def _random_circuit_template(rng, num_qubits, length):
+    """A template with a random gate list: rotation runs that leave qubits
+    out or rotate one twice, phase runs, trainable and encoding angles."""
+    from qnnff.circuit import ParamRef, QnnTemplate, SymbolicGate, encoding_exprs
+
+    enc = EncodingSpec(num_qubits, "full")
+    exprs = encoding_exprs(enc)
+    gates, refs = [], []
+    for k in range(length):
+        if rng.random() < 0.6:
+            kind, qubits = "ry", (int(rng.integers(num_qubits)),)
+        else:
+            size = int(rng.integers(1, num_qubits + 1))
+            kind = "multiz"
+            qubits = tuple(int(q) for q in rng.choice(num_qubits, size, replace=False))
+        if rng.random() < 0.5:
+            source = exprs[int(rng.integers(len(exprs)))]
+        else:
+            source = ParamRef(1, ("gate", k))
+            refs.append(source)
+        gates.append(SymbolicGate(kind, qubits, source))
+    return QnnTemplate(enc, AnsatzSpec(num_qubits, "full"), 1, tuple(gates),
+                       tuple(refs))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6, 7])
+def test_adjoint_sweep_on_irregular_layers(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    for _ in range(3):
+        t = _random_circuit_template(rng, num_qubits, 24)
+        Y = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
+        theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+        f, gp, gy = sweep(t, Y, theta, params=True, inputs=True)
+        hess = mixed_hessian_batch(t, Y, theta)
+        for got, want in zip((f, gp, gy, hess), _shift_reference(t, Y, theta)):
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def test_row_bytes_bound_the_memory_of_a_call(monkeypatch):
+    # h3o's mixed Hessian keeps a state after each of 25 layers and builds a
+    # table per row for every encoding layer; with the chunk budget at
+    # 4 MiB, 600 rows run in chunks, and the traced peak of the call, with
+    # its unchunked output, stays within the budget
+    import tracemalloc
+
+    from qnnff.presets import get_preset
+
+    t = get_preset("h3o").template()
+    rng = np.random.default_rng(0)
+    Y = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    mixed_hessian_batch(t, Y, theta)   # builds the cached lowering
+    budget = 4 << 20
+    monkeypatch.setattr(gradients, "_CHUNK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        mixed_hessian_batch(t, Y, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_sweep_counts_hardware_circuits(rng):

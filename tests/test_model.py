@@ -172,6 +172,53 @@ def test_checkpoint_version_mismatch(tmp_path, lih_setup):
         load_checkpoint(path)
 
 
+def _mlp_model(lih_setup, rng):
+    from qnnff.baseline import MlpForceField, MlpSpec
+
+    preset, _, model = lih_setup
+    spec = MlpSpec((7, 4, 1))
+    return MlpForceField(spec, model.pipeline, rng.normal(size=spec.param_count),
+                         energy_scale=2.0, energy_offset=-1.0,
+                         encoding=preset.encoding_spec())
+
+
+def _circuit_model(lih_setup, rng):
+    return randomized(lih_setup[2], rng)
+
+
+def _set(field, index, value):
+    def edit(payload):
+        target = payload
+        for key in field[:-1]:
+            target = target[key]
+        if index is None:
+            target[field[-1]] = value
+        else:
+            target[field[-1]][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("family", [_circuit_model, _mlp_model],
+                         ids=["circuit", "mlp"])
+@pytest.mark.parametrize("name, edit", [
+    ("theta", _set(("theta",), 0, float("nan"))),
+    ("energy_scale", _set(("energy_scale",), None, float("inf"))),
+    ("energy_offset", _set(("energy_offset",), None, float("nan"))),
+    ("pipeline bounds", _set(("pipeline", "bounds"), 0, [0.9, float("nan")])),
+], ids=["theta", "energy_scale", "energy_offset", "pipeline_bounds"])
+def test_checkpoint_rejects_non_finite_field(tmp_path, lih_setup, rng, family,
+                                             name, edit):
+    import json
+
+    path = tmp_path / "model.json"
+    save_checkpoint(family(lih_setup, rng), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))   # writes NaN and Infinity
+    with pytest.raises(CheckpointError, match=f"non-finite value in {name}"):
+        load_checkpoint(path)
+
+
 def test_model_dimension_validation(lih_setup):
     _, _, model = lih_setup
     with pytest.raises(ArgumentError):

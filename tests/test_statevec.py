@@ -89,8 +89,10 @@ def test_run_circuit_is_pure():
     assert np.array_equal(state.amplitudes, before)
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6, 7])
 def test_against_dense_matrix_oracle(rng, num_qubits):
+    # random runs give partial rotation layers, repeated-qubit rotations that
+    # split a layer, and, from 4 qubits on, layers of several blocks
     for _ in range(4):
         gates = random_gate_sequence(rng, num_qubits, length=12)
         out = run_circuit(init_zero(num_qubits), gates)
