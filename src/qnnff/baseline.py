@@ -234,8 +234,7 @@ class MlpForceField(ForceFieldMixin):
                 f"network input width {self.spec.widths[0]} does not match "
                 f"{expected} model inputs"
             )
-        if self.energy_scale <= 0:
-            raise ArgumentError("energy scale must be positive")
+        self._check_label_scaling()
 
     @property
     def param_count(self) -> int:

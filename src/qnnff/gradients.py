@@ -14,6 +14,15 @@ product-expression chain factors turn into d f / d y.  ``sweep``,
 ``grad_params_batch``, ``grad_inputs_batch`` and the models' energies and
 forces run on it.
 
+*Second-order adjoint mode* (Griewank & Walther, *Evaluating Derivatives*,
+ch. 5): ``hvp_params_batch`` gives the mixed Hessian d^2 f / d theta d y
+times a direction v per sample, the gradient over theta of
+g = sum_j v_j d f / d y_j, from one tangent-augmented sweep per sample.  The
+chain factors turn v into a direction w over the encoding angles; the
+forward pass carries psi' = d psi / d(w) beside psi, the backward pass lam'
+beside lam, and d g / d theta_p = 2 Im (<lam'|G_p|psi> + <lam|G_p|psi'>).
+Force-weighted training needs only this product.
+
 *Parameter shift*: writing each gate as ``exp(-i mu P / 2)`` in a
 normalized half-angle ``mu``, the output is a degree-1 trigonometric
 polynomial in ``mu`` and
@@ -24,12 +33,14 @@ holds exactly.  Mapping back to the raw gate angle contributes the chain
 factor d(mu)/d(angle): 1 for ry, 2 for multiz (which turns the shift into
 +-pi/4 on the raw angle with unit coefficient).  ``_run`` nests the rule
 over any levels of gate columns; the tests compare the adjoint results with
-it.  ``mixed_hessian_batch`` uses one level over the encoding occurrences
-with an adjoint sweep inside each shifted row: 2m rows per sample where
-nested shifts run 4dm circuits.
+it.  ``mixed_hessian_batch``, the reference for the Hessian-vector
+product, uses one level over the encoding occurrences with an adjoint sweep
+inside each shifted row: 2m rows per sample where nested shifts run 4dm
+circuits.
 
 The counter charges what the shift rule would run on hardware, whatever
-the simulator did, and counts the simulated rows apart.
+the simulator did (4dm circuits per sample for a Hessian-vector product as
+for the mixed Hessian), and counts the simulated rows apart.
 
 One engine runs every circuit: ``_Program`` lowers a template to layers
 (``statevec.Layers``: rotation layers of blocks and diagonal phase blocks)
@@ -69,9 +80,10 @@ class EvalCounter:
     """Bookkeeping for circuit executions.  ``total`` and the fields split
     by what requested them count what the shift rule runs on hardware: one
     circuit per output, 2d per parameter gradient, 2m per input gradient and
-    4dm per mixed Hessian (m encoding occurrences).  ``simulated`` counts the
+    4dm per mixed Hessian or Hessian-vector product (m encoding
+    occurrences), which ``hessian`` counts.  ``simulated`` counts the
     statevector rows the simulator swept; an adjoint row counts once, though
-    it runs forward and back."""
+    it runs forward and back, and so does a tangent-augmented row."""
 
     total: int = 0
     grad_params: int = 0
@@ -157,16 +169,19 @@ class _Program:
             self._layouts[key] = _Layout(self, levels)
         return self._layouts[key]
 
-    def row_bytes(self, levels, adjoint: bool) -> int:
-        """Bytes one row of a chunk holds (``_Layout.row_bytes``)."""
-        return self.layout(levels).row_bytes[adjoint]
+    def row_bytes(self, levels, mode: str) -> int:
+        """Bytes one row of a chunk holds in a run of ``mode``, "run",
+        "adjoint" or "tangent" (``_Layout.row_bytes``)."""
+        return self.layout(levels).row_bytes[mode]
 
     def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
-               levels=()) -> tuple:
-        """Angles of a block of rows: ``(layout, base, table)``, with the
-        angle row (1, G) of the layers every row shares and the table (rows,
-        U) of ``layout.row_gates``, the gates of the layers with a table per
-        row.
+               levels=(), directions=None) -> tuple:
+        """Angles of a block of rows: ``(layout, base, table, tangent)``,
+        with the angle row (1, G) of the layers every row shares and the
+        table (rows, U) of ``layout.row_gates``, the gates of the layers with
+        a table per row.  ``tangent`` is None or, given ``directions`` (a
+        direction over the input occurrences per sample, as ``values``), the
+        direction of each row's angles, as ``table``.
 
         ``idx`` gives each row's sample and, per level, its shifted column
         position and sign (0 for +, 1 for -), as ``np.unravel_index`` returns
@@ -184,7 +199,11 @@ class _Program:
             col = level[idx[1 + 2 * depth]]
             sign = 1.0 - 2.0 * idx[2 + 2 * depth]
             table[rows, layout.position[col]] += sign * self.shift[col]
-        return layout, base[None], table
+        tangent = None
+        if directions is not None:
+            tangent = np.zeros_like(table)
+            tangent[:, layout.input_at] = directions[sample[:, None], layout.input_occ]
+        return layout, base[None], table, tangent
 
 
 class _Layout:
@@ -234,26 +253,36 @@ class _Layout:
                       for (group, j), op in zip(source, prog.layers.ops)
                       for k in range(len(op[1]) if op[0] == "ry" else 1)]
         self.memo = (None, None)   # the shared tables of the last angle row
-        # bytes one row of a chunk holds: its amplitudes with their
-        # temporaries, its angles and tables and, in an adjoint sweep, the
-        # states kept after every layer and the derivative table
-        amps = 16 << n
-        size = 3 * amps + 8 * len(gates) + self.per_row.row_bytes()
-        self.row_bytes = {False: size, True: size + 2 * len(source) * amps
-                          + 8 * (len(prog.kinds) + 2)}
+        # bytes one row of a chunk holds in a plain run, an adjoint sweep and
+        # a tangent sweep: its amplitudes with their temporaries, its angles
+        # and tables and, in a sweep, the states kept after every layer and
+        # the derivative table; a tangent sweep doubles all of it and adds
+        # the tables' derivatives
+        amps, tables = 16 << n, self.per_row.row_bytes()
+        size = 3 * amps + 8 * len(gates) + tables
+        adjoint = size + 2 * len(source) * amps + 8 * (len(prog.kinds) + 2)
+        self.row_bytes = {"run": size, "adjoint": adjoint,
+                          "tangent": 2 * adjoint + tables}
 
-    def tables(self, base: np.ndarray, table: np.ndarray, adjoint: bool):
+    def tables(self, base: np.ndarray, table: np.ndarray, adjoint: bool,
+               tangent=None):
         """The tables of every kernel call and, with ``adjoint``, those that
-        un-apply them, from ``_Program.angles``' parts.  The shared tables
-        are kept for the next call with the same angle row."""
+        un-apply them, from ``_Program.angles``' parts; with ``tangent``, the
+        derivatives of both along it too, None for a shared table, whose
+        angles do not move.  Returns (forward, back, dforward, dback) as
+        ``Tables.build``.  The shared tables are kept for the next call with
+        the same angle row."""
         key, memo = base.tobytes(), self.memo
         if memo[0] != key:
-            memo = self.memo = key, self.shared.build(base, adjoint=True)
-        groups = (memo[1], self.per_row.build(table, adjoint))
-        forward = [groups[group][0][s] for group, s in self.steps]
-        if not adjoint:
-            return forward, None
-        return forward, [groups[group][1][s] for group, s in self.steps]
+            forward, back, _, _ = self.shared.build(base, adjoint=True)
+            fixed = [None] * len(forward)
+            memo = self.memo = key, (forward, back, fixed, fixed)
+        groups = (memo[1], self.per_row.build(table, adjoint, tangent))
+        parts = [None] * 4
+        for part in range(2 + 2 * (tangent is not None)):
+            if groups[1][part] is not None:
+                parts[part] = [groups[group][part][s] for group, s in self.steps]
+        return parts
 
 
 @lru_cache(maxsize=64)
@@ -271,23 +300,34 @@ def _execute(prog: _Program, angles: tuple, rows: int, wrt=None) -> np.ndarray:
     """Run the program over `rows` circuits with the angles that
     ``_Program.angles`` formed.  Returns <Z_0> per row or, with ``wrt``, an
     adjoint sweep's d<Z_0>/d(angle of gate g) for each g in ``wrt``, (rows,
-    len(wrt)), where g = -1 stands for <Z_0> itself."""
-    layout, base, table = angles
+    len(wrt)), where g = -1 stands for <Z_0> itself.  With a tangent in the
+    angles the sweep is tangent-augmented and returns instead the
+    derivatives of those columns along it (g >= 0 only)."""
+    layout, base, table, tangent = angles
     layers, n = prog.layers, prog.num_qubits
-    tables, back = layout.tables(base, table, wrt is not None)
+    tables, back, dtables, dback = layout.tables(base, table, wrt is not None,
+                                                 tangent)
     if wrt is None:
         amps = layers.forward(_zero_states(rows, n), tables)
         return _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
+    width = len(prog.kinds) + 2
+    if tangent is not None:
+        states = np.empty((2, len(layers.ops), 2, rows, 1 << n), dtype=complex)
+        layers.forward_tangent(_zero_states(rows, n), tables, dtables, states[0])
+        grads = np.empty((2 * rows, width))
+        layers.backward_tangent(states[0], states[1], prog.observable, back,
+                                dback, grads)
+        return grads[:rows, wrt] + grads[rows:, wrt]
     states = np.empty((2, len(layers.ops), rows, 1 << n), dtype=complex)
     amps = layers.forward(_zero_states(rows, n), tables, states[0])
-    grads = np.empty((rows, len(prog.kinds) + 2))
+    grads = np.empty((rows, width))
     grads[:, -1] = _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
     layers.backward(states[0], states[1], prog.observable, back, grads)
     return grads[:, wrt]
 
 
 def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels,
-         wrt=None) -> np.ndarray:
+         wrt=None, directions=None) -> np.ndarray:
     """Circuit outputs for every sample, differentiated once per level.
 
     A level is an array of gate columns.  For each column c the circuit runs
@@ -295,20 +335,25 @@ def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels,
     coef_c * (f(+) - f(-)); levels nest, the first outermost.  The result
     has shape (samples, len(level_1), len(level_2), ...); with ``wrt`` every
     row is an adjoint sweep and the result gains a last axis, as
-    ``_execute`` returns it.  Rows run in chunks under ``_CHUNK_BYTES``, and
-    a chunk's angle rows are formed only when it runs.
+    ``_execute`` returns it, and with ``directions`` too, (samples, m) over
+    the input occurrences, a tangent-augmented one.  Rows run in chunks
+    under ``_CHUNK_BYTES``, and a chunk's angle rows are formed only when it
+    runs.
     """
     shape = (values.shape[0],) + tuple(k for lv in levels for k in (len(lv), 2))
     tail = () if wrt is None else (len(wrt),)
     rows = int(np.prod(shape))
-    chunk = max(1, _CHUNK_BYTES // prog.row_bytes(levels, wrt is not None))
+    mode = ("run" if wrt is None else "adjoint" if directions is None
+            else "tangent")
+    chunk = max(1, _CHUNK_BYTES // prog.row_bytes(levels, mode))
     out = np.empty((rows,) + tail)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
         # built inline, so a chunk's angle rows are freed when its run ends
         out[lo:hi] = _execute(
             prog, prog.angles(values, theta,
-                              np.unravel_index(np.arange(lo, hi), shape), levels),
+                              np.unravel_index(np.arange(lo, hi), shape), levels,
+                              directions),
             hi - lo, wrt)
     counter.simulated += rows
     out = out.reshape(shape + tail)
@@ -415,6 +460,31 @@ def mixed_hessian_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     counter.total += 4 * core.size
     counter.hessian += 4 * core.size
     return np.swapaxes(core, 1, 2) @ prog.input_partials(feats)
+
+
+def hvp_params_batch(template: QnnTemplate, features, theta,
+                     directions) -> np.ndarray:
+    """d g_b / d theta for every feature row b, shape (B, d), where g_b =
+    sum_j v_bj d f / d y_j for the directions v (B, N): the mixed Hessian
+    times v, ``mixed_hessian_batch(...) @ v``, from one tangent-augmented
+    adjoint sweep per row.  The chain factors turn v_b into a direction w_b
+    over the encoding angles; the sweep carries the derivatives of the state
+    and of lam along w_b beside them (second-order adjoint mode, Griewank &
+    Walther, *Evaluating Derivatives*, ch. 5), and d g_b / d theta_p =
+    2 Im (<lam'|G_p|psi> + <lam|G_p|psi'>).  The counter is charged the
+    shift rule's 4dm circuits per row of the mixed Hessian it stands for."""
+    prog, feats, theta = _prepare(template, features, theta)
+    directions = np.asarray(directions, dtype=float)
+    if directions.shape != feats.shape:
+        raise ArgumentError(f"expected directions of shape {feats.shape}, "
+                            f"got {directions.shape}")
+    w = np.einsum("boj,bj->bo", prog.input_partials(feats), directions)
+    hvp = _run(prog, prog.input_values(feats), theta, wrt=prog.param_cols,
+               directions=w)
+    circuits = 4 * hvp.size * len(prog.input_cols)
+    counter.total += circuits
+    counter.hessian += circuits
+    return hvp
 
 
 def mixed_hessian(template: QnnTemplate, y, theta) -> np.ndarray:

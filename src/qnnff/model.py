@@ -24,7 +24,7 @@ import numpy as np
 from . import gradients
 from .circuit import QnnTemplate, template_from_dict, template_to_dict
 from .descriptors import DescriptorPipeline, pipeline_from_dict, pipeline_to_dict
-from .errors import ArgumentError, CheckpointError
+from .errors import ArgumentError, CheckpointError, DataError
 
 CHECKPOINT_FORMAT = "qnnff-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -35,6 +35,8 @@ LABEL_HEADROOM = 0.1  # training energies map into +-(1 - headroom)
 def fit_label_scaling(energies, headroom: float = LABEL_HEADROOM):
     """Affine transform sending [E_min, E_max] onto +-(1 - headroom)."""
     e = np.asarray(energies, dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise DataError("cannot fit the label scaling to non-finite energies")
     lo, hi = float(e.min()), float(e.max())
     offset = 0.5 * (hi + lo)
     scale = (hi - lo) / (2.0 * (1.0 - headroom)) if hi > lo else 1.0
@@ -79,6 +81,12 @@ class ForceFieldMixin:
     def _forces(self, grads: np.ndarray, jac: np.ndarray) -> np.ndarray:
         return -self.energy_scale * np.einsum("bj,bjc->bc", grads, jac)
 
+    def _check_label_scaling(self) -> None:
+        if not (np.isfinite(self.energy_scale) and self.energy_scale > 0):
+            raise ArgumentError("energy scale must be finite and positive")
+        if not np.isfinite(self.energy_offset):
+            raise ArgumentError("energy offset must be finite")
+
     def scaled_energy(self, energy) -> np.ndarray:
         """Map physical energies into model-output units."""
         return (np.asarray(energy, dtype=float) - self.energy_offset) / self.energy_scale
@@ -107,8 +115,7 @@ class QffModel(ForceFieldMixin):
                 f"pipeline emits {self.pipeline.num_features} features, "
                 f"template expects {self.template.num_features}"
             )
-        if self.energy_scale <= 0:
-            raise ArgumentError("energy scale must be positive")
+        self._check_label_scaling()
 
     @property
     def param_count(self) -> int:

@@ -16,7 +16,10 @@ stacked matmul (``_apply_kind``), and a run of ``multiz`` is one phase vector
 vectorised pass per kind, with a row axis of length 1 where all rows share
 it.  ``Layers.backward`` is the adjoint sweep: it keeps the state after every
 layer, un-applies each layer to lam with one op, and contracts once per qubit
-for the rotations and once for the phase blocks.
+for the rotations and once for the phase blocks.  ``Layers.forward_tangent``
+and ``backward_tangent`` are the same sweep carrying the derivatives of psi
+and lam along a direction of the angles, each stacked with its state as one
+block of rows, from the tables' derivatives that ``Tables.build`` adds.
 
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
@@ -280,49 +283,110 @@ class Tables:
         return (size + 8 * self.phase_cols.size
                 + 56 * len(self.phase_cols) * self.phase_signs.shape[-1])
 
-    def build(self, angles: np.ndarray, adjoint: bool = False):
+    def build(self, angles: np.ndarray, adjoint: bool = False, tangent=None):
         """Per step, in order: the table of a rotation block as
         ``_apply_kind`` takes it, or the phase (R, 2**n) of a phase block.
-        With ``adjoint``, also the tables that un-apply each step."""
-        rows = len(angles)
-        forward, back = [], []
+        With ``adjoint``, also the tables that un-apply each step.  With
+        ``tangent``, a direction (rows, C) over the same columns, also the
+        derivatives of those tables along it, in the same layouts, and the
+        tables themselves take 2 * rows rows, to act on states stacked over
+        their derivatives (``Layers.forward_tangent``).  Returns (forward,
+        back, dforward, dback), None for what was not asked."""
+        forward, back, dforward, dback = [], [], [], []
         for k, gates, filled, count, low in self.rotations:
-            half = angles[:, gates] * 0.5
-            if filled is not None:
-                half, part = np.zeros((rows, len(filled))), half
-                half[:, filled] = part
+            half = _slot_values(angles, gates, filled) * 0.5
             trig = np.empty(half.shape + (2,))
             np.cos(half, out=trig[..., 0])
             np.sin(half, out=trig[..., 1])
-            mats = (trig[..., _ROT_PICK] * _ROT_SIGN).reshape(rows, count, k, 2, 2)
+            mats = _rotation_mats(trig, count, k)
             blocks = mats[:, :, 0]
+            if tangent is not None:
+                # dR(a)/da = R(a + pi) / 2: (cos, sin) -> (-sin, cos) / 2
+                rate = _slot_values(tangent, gates, filled) * 0.5
+                dmats = _rotation_mats(np.stack((-trig[..., 1] * rate,
+                                                 trig[..., 0] * rate), axis=-1),
+                                       count, k)
+                dblocks = dmats[:, :, 0]
             for t in range(1, k):   # Kronecker product, highest qubit first
-                d = blocks.shape[-1]
-                blocks = (blocks[..., :, None, :, None]
-                          * mats[:, :, t, None, :, None, :]).reshape(
-                              rows, count, 2 * d, 2 * d)
-            tables = list(blocks[:, :, None].swapaxes(0, 1))
-            if len(low):   # kron(K^T, I_2)
-                right = np.multiply(blocks[:, low].swapaxes(-1, -2)[..., :, None, :, None],
-                                    _I2[:, None, :], order="C").reshape(
-                                        rows, len(low), 2 << k, 2 << k)
-                for j, table in zip(low, right.swapaxes(0, 1)):
-                    tables[j] = table
+                if tangent is not None:
+                    dblocks = (_kron(dblocks, mats[:, :, t])
+                               + _kron(blocks, dmats[:, :, t]))
+                blocks = _kron(blocks, mats[:, :, t])
+            if tangent is not None:
+                tables = _block_tables(dblocks, low, k)
+                dforward += tables
+                if adjoint:
+                    dback += [table.swapaxes(-1, -2) for table in tables]
+                blocks = np.concatenate((blocks, blocks))
+            tables = _block_tables(blocks, low, k)
             forward += tables
             if adjoint:
                 back += [table.swapaxes(-1, -2) for table in tables]
         if len(self.phase_cols):
-            # one matrix-vector product per row and block, on a C-ordered
-            # gather: ``angles[:, cols]`` would lay the rows innermost, and a
-            # strided vector is summed in another order than a contiguous one
-            exponent = np.matmul(np.take(angles, self.phase_cols, axis=1)[:, :, None],
-                                 self.phase_signs)[:, :, 0]
-            phase = np.exp(-1j * exponent).swapaxes(0, 1)
+            phase = np.exp(-1j * self._exponents(angles))
+            if tangent is not None:
+                dphase = (-1j * self._exponents(tangent) * phase).swapaxes(0, 1)
+                dforward += list(dphase)
+                if adjoint:
+                    dback += list(np.conj(dphase))
+                phase = np.concatenate((phase, phase))
+            phase = phase.swapaxes(0, 1)
             forward += list(phase)
             if adjoint:
                 back += list(np.conj(phase))
-        forward = [forward[s] for s in self.order]
-        return forward, [back[s] for s in self.order] if adjoint else None
+        order = self.order
+        forward = [forward[s] for s in order]
+        back = [back[s] for s in order] if adjoint else None
+        if tangent is None:
+            return forward, back, None, None
+        return (forward, back, [dforward[s] for s in order],
+                [dback[s] for s in order] if adjoint else None)
+
+    def _exponents(self, angles: np.ndarray) -> np.ndarray:
+        """A S of every phase block and row, (rows, P, 2**n): one
+        matrix-vector product per row and block, on a C-ordered gather.
+        ``angles[:, cols]`` would lay the rows innermost, and a strided
+        vector is summed in another order than a contiguous one."""
+        return np.matmul(np.take(angles, self.phase_cols, axis=1)[:, :, None],
+                         self.phase_signs)[:, :, 0]
+
+
+def _slot_values(angles: np.ndarray, gates: np.ndarray, filled) -> np.ndarray:
+    """The angles of a window size's rotation slots, (rows, slots), 0 in an
+    empty slot."""
+    values = angles[:, gates]
+    if filled is None:
+        return values
+    out = np.zeros((len(angles), len(filled)))
+    out[:, filled] = values
+    return out
+
+
+def _rotation_mats(trig: np.ndarray, count: int, k: int) -> np.ndarray:
+    """The 2x2 matrices [[c, -s], [s, c]] of (c, s) pairs (rows, slots, 2),
+    as (rows, count, k, 2, 2)."""
+    return (trig[..., _ROT_PICK] * _ROT_SIGN).reshape(len(trig), count, k, 2, 2)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a (..., d, d) x b (..., 2, 2), a the higher."""
+    d = a.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        a.shape[:-2] + (2 * d, 2 * d))
+
+
+def _block_tables(blocks: np.ndarray, low: np.ndarray, k: int) -> list:
+    """Tables of rotation blocks (rows, count, 2**k, 2**k) as ``_apply_kind``
+    takes them: K on a window's axis, kron(K^T, I_2) on a low window."""
+    rows = len(blocks)
+    tables = list(blocks[:, :, None].swapaxes(0, 1))
+    if len(low):
+        right = np.multiply(blocks[:, low].swapaxes(-1, -2)[..., :, None, :, None],
+                            _I2[:, None, :], order="C").reshape(
+                                rows, len(low), 2 << k, 2 << k)
+        for j, table in zip(low, right.swapaxes(0, 1)):
+            tables[j] = table
+    return tables
 
 
 class Layers:
@@ -369,6 +433,14 @@ class Layers:
         # 2 S^T, one (2**n, w) matrix per block
         self.phase_signs = np.ascontiguousarray(2.0 * signs.swapaxes(1, 2))[:, None]
 
+    def _step(self, window, amps: np.ndarray, table, out=None) -> np.ndarray:
+        """One kernel call: a rotation block on ``window``, or a phase block
+        where it is None.  ``forward`` and ``backward``, which every circuit
+        call runs, dispatch inline to save a method call per kernel call."""
+        if window is None:
+            return _apply_phase(amps, table, out)
+        return _apply_kind(amps, self.num_qubits, "ry", window, table, out)
+
     def forward(self, amps: np.ndarray, tables, states=None) -> np.ndarray:
         """Apply every layer to amplitudes (rows, 2**n), step s through
         ``tables[s]``; the state after each layer goes to its slot of
@@ -382,17 +454,29 @@ class Layers:
                 amps = _apply_kind(amps, n, "ry", window, table, out)
         return amps
 
+    def forward_tangent(self, amps: np.ndarray, tables, tangents, states) -> None:
+        """``forward`` with the state's derivative along a direction of the
+        angles carried beside it, by the product rule psi' <- U psi' + U'
+        psi: both run as one stack of 2R rows, psi over psi', through the
+        tables of ``Tables.build`` with a tangent, and ``tangents[s]``, the
+        derivative of ``tables[s]`` (None where it is 0), adds U' psi.  The
+        state after each layer goes to its slot of ``states[:, 0]`` and its
+        derivative to ``states[:, 1]``."""
+        rows = len(amps)
+        pair = np.concatenate((amps, np.zeros_like(amps)))
+        for (window, slot), table, tangent in zip(self.steps, tables, tangents):
+            out = None if slot is None else states[slot].reshape(pair.shape)
+            moved = self._step(window, pair, table, out)
+            if tangent is not None:
+                moved[rows:] += self._step(window, pair[:rows], tangent)
+            pair = moved
+
     def backward(self, psi: np.ndarray, lam: np.ndarray, observable: np.ndarray,
                  back, grads: np.ndarray) -> None:
         """Adjoint sweep over the states ``psi`` that ``forward`` kept: set
         lam = O psi after the last layer, un-apply the layers last to first
         into ``lam`` (step s through ``back[s]``), and write d<O>/d(angle of
-        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]``, G_g being the
-        gate's generator and column len(kinds) taking padding.  Both states
-        are taken after the gate's layer, whose other gates commute with G_g.
-        One contraction per qubit gives its rotations in every layer (lam
-        against psi with that qubit flipped, signed by its bit), one all
-        phase blocks."""
+        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]`` (``_contract``)."""
         n = self.num_qubits
         np.multiply(psi[self.last_slot], observable, out=lam[self.last_slot])
         for window, s, src, dst in self.back_steps:
@@ -403,6 +487,43 @@ class Layers:
                 amps = _apply_phase(amps, back[s], out)
             else:
                 amps = _apply_kind(amps, n, "ry", window, back[s], out)
+        self._contract(psi, lam, grads)
+
+    def backward_tangent(self, psi: np.ndarray, lam: np.ndarray,
+                         observable: np.ndarray, back, tangents,
+                         grads: np.ndarray) -> None:
+        """``backward`` differentiated along the direction of
+        ``forward_tangent``, over the states and derivatives it kept in
+        ``psi``: lam' = O psi' after the last layer and lam' <- U^dag lam' +
+        U'^dag lam, run as one stack with lam as there, lam' into ``lam[:,
+        0]`` and lam into ``lam[:, 1]`` (``tangents[s]`` the derivative of
+        ``back[s]``).  The derivative of 2 Im <lam|G_g|psi> is 2 Im
+        (<lam'|G_g|psi> + <lam|G_g|psi'>); for R rows, ``grads`` (2R,
+        len(kinds) + 2) takes the first term in rows :R and the second in
+        R:."""
+        layers, _, rows, size = psi.shape
+        psi, lam = (x.reshape(layers, 2 * rows, size) for x in (psi, lam))
+        last = self.last_slot
+        np.multiply(psi[last, rows:], observable, out=lam[last, :rows])
+        np.multiply(psi[last, :rows], observable, out=lam[last, rows:])
+        for window, s, src, dst in self.back_steps:
+            if src is not None:
+                pair = lam[src]
+            moved = self._step(window, pair, back[s], None if dst is None else lam[dst])
+            if tangents[s] is not None:
+                moved[:rows] += self._step(window, pair[rows:], tangents[s])
+            pair = moved
+        self._contract(psi, lam, grads)
+
+    def _contract(self, psi: np.ndarray, lam: np.ndarray, grads: np.ndarray) -> None:
+        """Write 2 Im <lam|G_g|psi> into ``grads[:, g]`` for every gate g,
+        G_g being the gate's generator and column len(kinds) taking padding;
+        both states are taken after the gate's layer, whose other gates
+        commute with G_g.  One contraction per qubit gives its rotations in
+        every layer (lam against psi with that qubit flipped, signed by its
+        bit), one all phase blocks.  Overwrites the phase blocks' slots of
+        ``lam``."""
+        n = self.num_qubits
         rows, r = psi.shape[1], self.num_rotations
         for q, cols in self.rotation_cols:
             shape = (r, rows, 1 << (n - 1 - q), 2, 2 << q)
@@ -435,8 +556,8 @@ def run_circuit(state: StateVector, gates) -> StateVector:
         _check_qubits(state, gate.qubits)
     layers = Layers(state.num_qubits, [g.kind for g in gates],
                     [g.qubits for g in gates])
-    tables, _ = Tables(state.num_qubits, layers.ops).build(
-        np.array([[g.angle for g in gates]]))
+    tables = Tables(state.num_qubits, layers.ops).build(
+        np.array([[g.angle for g in gates]]))[0]
     amps = layers.forward(state.amplitudes[None], tables)
     return StateVector(state.num_qubits, amps[0])
 

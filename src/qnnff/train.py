@@ -5,14 +5,16 @@ affine label transform, forces are divided by the energy scale.  Training is
 full batch with exact gradients.  One adjoint sweep per sample
 (``gradients.sweep``) gives the outputs, d f / d theta and, when the force
 weight chi is nonzero, d f / d y for the force predictions; the force term's
-parameter gradient needs the mixed Hessian d^2 f / d theta d y, which
-``gradients.mixed_hessian_batch`` takes as one shift level over the encoding
-occurrences with an adjoint sweep on every shifted row, for all samples in
-one call.  The gradient-free path drives the same loss through COBYLA and
-never requests a parameter gradient.  Reports count circuit evaluations as
-the parameter-shift rule would run them on hardware, and the rows the
-simulator actually swept as simulated passes.  Parameters start at zero so
-every trainable stage begins as the identity.
+parameter gradient needs the mixed Hessian d^2 f / d theta d y only through
+its product with each sample's force residual pulled back to the features,
+which ``gradients.hvp_params_batch`` gives from one tangent-augmented sweep
+per sample (``gradients.mixed_hessian_batch``, which builds the whole
+Hessian, is its reference).  The gradient-free path drives the same loss
+through COBYLA and never requests a parameter gradient.  Reports count
+circuit evaluations as the parameter-shift rule would run them on hardware
+(the force term's 4dm per sample among them), and the rows the simulator
+actually swept as simulated passes.  Parameters start at zero so every
+trainable stage begins as the identity.
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ def _loss_and_grad(model: QffModel, prob: _Problem, chi: float, theta: np.ndarra
                                                           theta, params=True)
     grad = (2.0 / residual.size) * (g_param.T @ residual)
     if chi > 0:
-        # d(pred)/d theta = -hess . J, contracted with the residual per sample
-        hess = gradients.mixed_hessian_batch(model.template, prob.features, theta)
+        # d(pred)/d theta = -hess . J, contracted with the residual per
+        # sample: the mixed Hessian times pull, one tangent sweep per sample
         pull = np.einsum("bjc,bc->bj", prob.jacobians, force_residual)
-        grad -= (2.0 * chi / force_residual.size) * np.einsum("bpj,bj->p", hess, pull)
+        hvp = gradients.hvp_params_batch(model.template, prob.features, theta, pull)
+        grad -= (2.0 * chi / force_residual.size) * hvp.sum(axis=0)
     return loss, grad
 
 

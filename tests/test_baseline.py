@@ -196,3 +196,14 @@ def test_input_width_mismatch():
     with pytest.raises(ArgumentError):
         MlpForceField(MlpSpec((3, 1)), pipeline, np.zeros(4), 1.0, 0.0,
                       encoding=preset.encoding_spec())
+
+
+@pytest.mark.parametrize("scale, offset", [(np.nan, 0.0), (np.inf, 0.0),
+                                           (0.0, 0.0), (1.0, np.nan),
+                                           (1.0, np.inf)])
+def test_non_finite_label_scaling_rejected(scale, offset):
+    preset = get_preset("lih")
+    pipeline = preset.pipeline().fit(generate_lih(10).cartesians())
+    spec = MlpSpec((pipeline.num_features, 1))
+    with pytest.raises(ArgumentError, match="energy"):
+        MlpForceField(spec, pipeline, np.zeros(spec.param_count), scale, offset)

@@ -15,6 +15,7 @@ from qnnff.gradients import (
     grad_inputs_batch,
     grad_params,
     grad_params_batch,
+    hvp_params_batch,
     mixed_hessian,
     mixed_hessian_batch,
     sweep,
@@ -185,12 +186,24 @@ def test_chunked_runs_equal_unsplit_on_wider_registers(num_qubits, monkeypatch):
                                          rng, patch)
 
 
-def _assert_chunks_equal_unsplit(t, rng, monkeypatch):
-    Y = rng.uniform(-0.8, 0.8, size=(7, t.num_features))
+def test_chunked_runs_equal_unsplit_past_blas_threading(monkeypatch):
+    # 600 rows of 4 qubits make the low window's products 1,200 rows of 16
+    # when all rows run as one: past the size at which a BLAS gemm splits
+    # its work across threads and blocks it otherwise than for one row
+    rng = np.random.default_rng(600)
+    _assert_chunks_equal_unsplit(random_template(rng, 4, depth=2), rng,
+                                 monkeypatch, rows=600)
+
+
+def _assert_chunks_equal_unsplit(t, rng, monkeypatch, rows=7):
+    Y = rng.uniform(-0.8, 0.8, size=(rows, t.num_features))
     theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    # its own generator, so that the other inputs do not depend on it
+    V = np.random.default_rng(rows).normal(size=Y.shape)
     calls = [(eval_qnn_batch, Y), (grad_params_batch, Y),
-             (grad_inputs_batch, Y), (mixed_hessian, Y[0]),
-             (mixed_hessian_batch, Y[:2])]
+             (grad_inputs_batch, Y),
+             (lambda t, x, th: hvp_params_batch(t, x, th, V), Y),
+             (mixed_hessian, Y[0]), (mixed_hessian_batch, Y[:2])]
     chunks = []
     execute = gradients._execute
 
@@ -301,28 +314,98 @@ def test_adjoint_sweep_on_irregular_layers(num_qubits):
             assert np.max(np.abs(got - want), initial=0.0) < 1e-12
 
 
+def _mixed_template(num_qubits):
+    """One rotation layer that mixes encoding and trainable gates, a phase
+    block that does too, and an encoding whose monomials repeat, within a
+    layer and across layers."""
+    from qnnff.circuit import ParamRef, QnnTemplate, SymbolicGate, encoding_exprs
+
+    enc = EncodingSpec(num_qubits, "full")
+    exprs = encoding_exprs(enc)
+    refs = [ParamRef(1, ("gate", k)) for k in range(2 * num_qubits + 2)]
+    gates = [SymbolicGate("ry", (q,), exprs[q] if q % 2 else refs[q])
+             for q in range(num_qubits)]
+    gates += [SymbolicGate("multiz", (0,), exprs[0]),
+              SymbolicGate("multiz", tuple(range(num_qubits)), refs[-1]),
+              SymbolicGate("multiz", (num_qubits - 1,), exprs[-1])]
+    gates += [SymbolicGate("ry", (q,), refs[num_qubits + q] if q % 2 else exprs[q])
+              for q in range(num_qubits)]
+    gates += [SymbolicGate("ry", (0,), exprs[0]),
+              SymbolicGate("multiz", (0,), refs[-2])]
+    used = {g.source for g in gates}
+    return QnnTemplate(enc, AnsatzSpec(num_qubits, "full"), 1, tuple(gates),
+                       tuple(r for r in refs if r in used))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 7),
+       length=st.integers(4, 24), rows=st.integers(2, 4),
+       mixed=st.booleans())
+def test_hvp_equals_mixed_hessian_times_direction(seed, num_qubits, length, rows,
+                                                  mixed):
+    rng = np.random.default_rng(seed)
+    t = (_mixed_template(num_qubits) if mixed
+         else _random_circuit_template(rng, num_qubits, length))
+    Y = rng.uniform(-1.0, 1.0, size=(rows, t.num_features))
+    V = rng.normal(size=Y.shape)
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    got = hvp_params_batch(t, Y, theta, V)
+    want = np.einsum("bpj,bj->bp", mixed_hessian_batch(t, Y, theta), V)
+    assert got.shape == (rows, t.param_count)
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def test_hvp_rejects_directions_of_another_shape(rng):
+    t = random_template(rng, depth=1)
+    Y = rng.uniform(-0.8, 0.8, size=(3, t.num_features))
+    with pytest.raises(ArgumentError, match="directions"):
+        hvp_params_batch(t, Y, np.zeros(t.param_count), np.ones((2, t.num_features)))
+
+
 def test_row_bytes_bound_the_memory_of_a_call(monkeypatch):
     # h3o's mixed Hessian keeps a state after each of 25 layers and builds a
     # table per row for every encoding layer; with the chunk budget at
     # 4 MiB, 600 rows run in chunks, and the traced peak of the call, with
     # its unchunked output, stays within the budget
-    import tracemalloc
+    t, rng = _h3o_template()
+    Y = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
+    _assert_peak_within_budget(lambda th: mixed_hessian_batch(t, Y, th), t, rng,
+                               monkeypatch)
 
+
+def test_row_bytes_bound_the_memory_of_a_tangent_sweep(monkeypatch):
+    # a tangent-augmented row also keeps the derivative of every state and of
+    # lam, and the derivatives of its tables: 100 rows run in chunks
+    t, rng = _h3o_template()
+    Y = rng.uniform(-1.0, 1.0, size=(100, t.num_features))
+    V = rng.normal(size=Y.shape)
+    _assert_peak_within_budget(lambda th: hvp_params_batch(t, Y, th, V), t, rng,
+                               monkeypatch)
+
+
+def _h3o_template():
     from qnnff.presets import get_preset
 
-    t = get_preset("h3o").template()
-    rng = np.random.default_rng(0)
-    Y = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
+    return get_preset("h3o").template(), np.random.default_rng(0)
+
+
+def _assert_peak_within_budget(fn, t, rng, monkeypatch, budget=4 << 20):
+    import tracemalloc
+
     theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
-    mixed_hessian_batch(t, Y, theta)   # builds the cached lowering
-    budget = 4 << 20
+    fn(theta)   # builds the cached lowering
     monkeypatch.setattr(gradients, "_CHUNK_BYTES", budget)
+    chunks = []
+    execute = gradients._execute
+    monkeypatch.setattr(gradients, "_execute",
+                        lambda *args: chunks.append(args[2]) or execute(*args))
     tracemalloc.start()
     try:
-        mixed_hessian_batch(t, Y, theta)
+        fn(theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(chunks) > 1
     assert peak <= budget
 
 
@@ -339,6 +422,11 @@ def test_sweep_counts_hardware_circuits(rng):
     mixed_hessian_batch(t, Y, theta)
     assert (counter.total, counter.hessian) == (3 * 4 * d * m, 3 * 4 * d * m)
     assert counter.simulated == 3 * 2 * m
+    # the Hessian-vector product stands for the same circuits, in one
+    # tangent-augmented row per sample
+    counter.reset()
+    hvp_params_batch(t, Y, theta, rng.normal(size=Y.shape))
+    assert dataclasses.astuple(counter) == (3 * 4 * d * m, 0, 0, 3 * 4 * d * m, 3)
 
 
 def test_eval_counter_bookkeeping(rng):

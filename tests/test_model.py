@@ -3,7 +3,7 @@ import pytest
 
 from qnnff import gradients
 from qnnff.data import diatomic_geometry
-from qnnff.errors import ArgumentError, CheckpointError
+from qnnff.errors import ArgumentError, CheckpointError, DataError
 from qnnff.model import (
     QffModel,
     bond_energy_force,
@@ -41,6 +41,20 @@ def test_label_scaling_band():
 def test_label_scaling_constant_energies():
     scale, offset = fit_label_scaling([2.0, 2.0])
     assert scale == 1.0 and offset == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_label_scaling_rejects_non_finite_energies(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        fit_label_scaling([bad, 1.0])
+
+
+@pytest.mark.parametrize("scale, offset", [(np.nan, 0.0), (np.inf, 0.0),
+                                           (1.0, np.nan), (1.0, -np.inf)])
+def test_model_rejects_non_finite_label_scaling(lih_setup, scale, offset):
+    _, _, model = lih_setup
+    with pytest.raises(ArgumentError, match="finite"):
+        QffModel(model.template, model.pipeline, model.theta, scale, offset)
 
 
 def test_zero_init_prediction_is_encoding_only(lih_setup):

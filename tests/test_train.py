@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qnnff import gradients
+from qnnff import gradients, train
 from qnnff.circuit import encoding_exprs
 from qnnff.data import Dataset, Sample
 from qnnff.errors import ArgumentError, DataError, NumericalError
@@ -17,6 +19,8 @@ from qnnff.train import (
     loss_chi,
     zero_init,
 )
+
+from conftest import central_diff
 
 
 def small_lih_model(depth=2, count=24):
@@ -79,6 +83,37 @@ def test_loss_hand_computed_two_samples():
     e = [model.scaled_energy(s.energy) for s in two.samples]
     expected = 0.5 * ((f[0] - e[0]) ** 2 + (f[1] - e[1]) ** 2)
     assert loss_chi(model, two, spec) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["lih", "h2o"])
+def test_force_weighted_gradient_matches_finite_differences(name):
+    # at chi = 1 the force term's gradient comes from Hessian-vector
+    # products: it matches central differences of loss_chi and, to rounding,
+    # the contraction of the full mixed Hessian
+    preset = get_preset(name)
+    data = generate_lih(6) if name == "lih" else generate_h2o(4, seed=3)
+    model = initialized_model(preset.template(),
+                              preset.pipeline().fit(data.cartesians()),
+                              data.energies())
+    theta = np.random.default_rng(7).uniform(-np.pi, np.pi, model.param_count)
+    spec = LossSpec(chi=1.0)
+    prob = train._lower(model, data, spec.chi)
+    loss, grad = train._loss_and_grad(model, prob, spec.chi, theta)
+
+    def loss_at(th):
+        return loss_chi(dataclasses.replace(model, theta=th), data, spec)
+
+    assert loss == pytest.approx(loss_at(theta), rel=1e-14)
+    fd = central_diff(loss_at, theta, h=1e-5)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+    _, residual, force_residual, g_param = train._loss_terms(
+        model, prob, spec.chi, theta, params=True)
+    hess = gradients.mixed_hessian_batch(model.template, prob.features, theta)
+    pull = np.einsum("bjc,bc->bj", prob.jacobians, force_residual)
+    reference = ((2.0 / residual.size) * (g_param.T @ residual)
+                 - (2.0 / force_residual.size) * np.einsum("bpj,bj->p", hess, pull))
+    assert np.max(np.abs(grad - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
 def test_adam_quadratic_toy():
@@ -206,8 +241,9 @@ def test_report_counts_hardware_circuits_and_simulated_passes(chi):
     # and 1 + 2m for the report's energies and forces
     epoch = b * (1 + 2 * d) + (b * (2 * m + 4 * d * m) if chi else 0)
     assert report.circuit_evals == epoch + b * (1 + 2 * m)
-    # one adjoint row per sample, plus 2m shifted rows each for the Hessian
-    assert report.simulated_passes == b + (b * 2 * m if chi else 0) + b
+    # one adjoint row per sample, plus one tangent-augmented row each for
+    # the force term's Hessian-vector product
+    assert report.simulated_passes == b + (b if chi else 0) + b
     assert f"simulated_passes = {report.simulated_passes}" in report.to_text()
 
 
