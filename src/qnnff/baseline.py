@@ -251,12 +251,16 @@ class MlpForceField(ForceFieldMixin):
         return mlp_forward(net, self.inputs_from_features(features))
 
     def _input_grads(self, features: np.ndarray) -> np.ndarray:
+        return self._outputs_and_input_grads(features)[1]
+
+    def _outputs_and_input_grads(self, features: np.ndarray):
+        """Both from one backward pass of the network."""
         net = unpack_params(self.spec, self.theta)
-        _, _, d_in = mlp_backward(net, self.inputs_from_features(features))
+        value, _, d_in = mlp_backward(net, self.inputs_from_features(features))
         if self.encoding is None:
-            return d_in
-        return np.einsum("bk,bkj->bj", d_in,
-                         monomial_jacobian(self.encoding, features))
+            return value, d_in
+        return value, np.einsum("bk,bkj->bj", d_in,
+                                monomial_jacobian(self.encoding, features))
 
 
 def mlp_payload(ff: MlpForceField) -> dict:

@@ -201,7 +201,7 @@ def cmd_train(args) -> None:
         train_set, validation = dataset, None
     chi = preset.chi if args.chi is None else args.chi
     optimizer = args.optimizer or preset.optimizer
-    steps = args.steps or preset.steps
+    steps = preset.steps if args.steps is None else args.steps
     config = train.AdamConfig(learning_rate=args.learning_rate,
                               max_steps=steps, seed=args.seed)
     spec = train.LossSpec(chi=chi)
@@ -298,9 +298,10 @@ def cmd_effdim(args) -> None:
     else:
         grad_fn, bounds = baseline.mlp_param_grad_fn(ff.spec), (-1.0, 1.0)
         inputs = ff.inputs_from_features(inputs)
+    n = len(dataset) if args.n is None else args.n
     report = capacity.effective_dimension(
-        grad_fn, inputs, dim=ff.param_count, n=args.n or len(dataset),
-        bounds=bounds, draws=args.draws, seed=args.seed,
+        grad_fn, inputs, dim=ff.param_count, n=n, bounds=bounds,
+        draws=args.draws, seed=args.seed,
         trace_normalize=args.trace_normalize)
     print(report.to_text())
     if args.out:

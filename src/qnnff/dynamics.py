@@ -37,12 +37,12 @@ class MdConfig:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
         object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float).ravel())
         masses = np.asarray(self.masses, dtype=float).ravel()
-        if self.dt <= 0:
-            raise ArgumentError("time step must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ArgumentError("time step must be finite and positive")
         if self.steps < 1:
             raise ArgumentError("need at least one step")
-        if np.any(masses <= 0):
-            raise ArgumentError("masses must be positive")
+        if not np.all(np.isfinite(masses) & (masses > 0)):
+            raise ArgumentError("masses must be finite and positive")
         if self.v0.shape != self.x0.shape:
             raise ArgumentError("x0 and v0 must have the same shape")
         if masses.size == self.x0.size:

@@ -70,7 +70,7 @@ _SHIFT = {"ry": (np.pi / 2, 0.5), "multiz": (np.pi / 4, 1.0)}
 
 OBSERVABLE_QUBIT = 0
 
-# Bytes of rows (``_Program.row_bytes``) one executed chunk may hold, so
+# Bytes of rows (``_Layout.row_bytes``) one executed chunk may hold, so
 # every circuit call stays inside a fixed memory budget whatever its size.
 _CHUNK_BYTES = 1 << 26
 
@@ -168,11 +168,6 @@ class _Program:
         if key not in self._layouts:
             self._layouts[key] = _Layout(self, levels)
         return self._layouts[key]
-
-    def row_bytes(self, levels, mode: str) -> int:
-        """Bytes one row of a chunk holds in a run of ``mode``, "run",
-        "adjoint" or "tangent" (``_Layout.row_bytes``)."""
-        return self.layout(levels).row_bytes[mode]
 
     def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
                levels=(), directions=None) -> tuple:
@@ -277,12 +272,10 @@ class _Layout:
             forward, back, _, _ = self.shared.build(base, adjoint=True)
             fixed = [None] * len(forward)
             memo = self.memo = key, (forward, back, fixed, fixed)
-        groups = (memo[1], self.per_row.build(table, adjoint, tangent))
-        parts = [None] * 4
-        for part in range(2 + 2 * (tangent is not None)):
-            if groups[1][part] is not None:
-                parts[part] = [groups[group][part][s] for group, s in self.steps]
-        return parts
+        own = self.per_row.build(table, adjoint, tangent)
+        return [None if part is None else
+                [(shared, part)[group][s] for group, s in self.steps]
+                for shared, part in zip(memo[1], own)]
 
 
 @lru_cache(maxsize=64)
@@ -301,29 +294,27 @@ def _execute(prog: _Program, angles: tuple, rows: int, wrt=None) -> np.ndarray:
     ``_Program.angles`` formed.  Returns <Z_0> per row or, with ``wrt``, an
     adjoint sweep's d<Z_0>/d(angle of gate g) for each g in ``wrt``, (rows,
     len(wrt)), where g = -1 stands for <Z_0> itself.  With a tangent in the
-    angles the sweep is tangent-augmented and returns instead the
-    derivatives of those columns along it (g >= 0 only)."""
+    angles, the sweep runs the rows' states stacked over their derivatives
+    along it (``statevec.Layers``) and returns instead the derivatives of
+    those columns along it (g >= 0 only)."""
     layout, base, table, tangent = angles
     layers, n = prog.layers, prog.num_qubits
     tables, back, dtables, dback = layout.tables(base, table, wrt is not None,
                                                  tangent)
+    amps = _zero_states(rows, n)
     if wrt is None:
-        amps = layers.forward(_zero_states(rows, n), tables)
-        return _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
-    width = len(prog.kinds) + 2
+        return _expectation_z_raw(layers.forward(amps, tables), n, OBSERVABLE_QUBIT)
     if tangent is not None:
-        states = np.empty((2, len(layers.ops), 2, rows, 1 << n), dtype=complex)
-        layers.forward_tangent(_zero_states(rows, n), tables, dtables, states[0])
-        grads = np.empty((2 * rows, width))
-        layers.backward_tangent(states[0], states[1], prog.observable, back,
-                                dback, grads)
-        return grads[:rows, wrt] + grads[rows:, wrt]
-    states = np.empty((2, len(layers.ops), rows, 1 << n), dtype=complex)
-    amps = layers.forward(_zero_states(rows, n), tables, states[0])
-    grads = np.empty((rows, width))
-    grads[:, -1] = _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
-    layers.backward(states[0], states[1], prog.observable, back, grads)
-    return grads[:, wrt]
+        amps = np.concatenate((amps, np.zeros_like(amps)))
+    states = np.empty((2, len(layers.ops)) + amps.shape, dtype=complex)
+    amps = layers.forward(amps, tables, states[0], dtables)
+    grads = np.empty((len(amps), len(prog.kinds) + 2))
+    if tangent is None:
+        grads[:, -1] = _expectation_z_raw(amps, n, OBSERVABLE_QUBIT)
+    layers.backward(states[0], states[1], prog.observable, back, grads, dback)
+    if tangent is None:
+        return grads[:, wrt]
+    return grads[:rows, wrt] + grads[rows:, wrt]
 
 
 def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels,
@@ -345,7 +336,7 @@ def _run(prog: _Program, values: np.ndarray, theta: np.ndarray, *levels,
     rows = int(np.prod(shape))
     mode = ("run" if wrt is None else "adjoint" if directions is None
             else "tangent")
-    chunk = max(1, _CHUNK_BYTES // prog.row_bytes(levels, mode))
+    chunk = max(1, _CHUNK_BYTES // prog.layout(levels).row_bytes[mode])
     out = np.empty((rows,) + tail)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)

@@ -47,7 +47,7 @@ class ForceFieldMixin:
     """Energies and forces, as in the module docstring, of a family that
     holds ``pipeline``, ``energy_scale`` and ``energy_offset`` and supplies
     its outputs ``_outputs`` (B,) and input gradients ``_input_grads``
-    (B, N) of a feature matrix, or both at once from
+    (B, N) of a feature matrix, and both from one pass in
     ``_outputs_and_input_grads``.  ``predict_energy`` runs no input
     gradient."""
 
@@ -74,9 +74,6 @@ class ForceFieldMixin:
         outputs, grads = self._outputs_and_input_grads(y)
         return (self.energy_scale * outputs + self.energy_offset,
                 self._forces(grads, jac))
-
-    def _outputs_and_input_grads(self, features: np.ndarray):
-        return self._outputs(features), self._input_grads(features)
 
     def _forces(self, grads: np.ndarray, jac: np.ndarray) -> np.ndarray:
         return -self.energy_scale * np.einsum("bj,bjc->bc", grads, jac)

@@ -85,7 +85,7 @@ class MoleculePreset:
     def template(self, depth=None, entanglement=None, degree: int = 3) -> QnnTemplate:
         return assemble_qnn(self.encoding_spec(entanglement, degree),
                             self.ansatz_spec(entanglement, degree),
-                            depth or self.depth)
+                            self.depth if depth is None else depth)
 
     def pipeline(self) -> DescriptorPipeline:
         return DescriptorPipeline(self.coords, self.features)
@@ -119,6 +119,8 @@ def generate_lih(count: int, seed: int = 0, mirror: bool = True,
 
 def _labelled(geoms: list, oracle) -> list:
     """Samples of the drawn geometries, labelled by one batched oracle call."""
+    if not geoms:
+        raise ArgumentError("count must be at least 1")
     energies, forces = oracle(np.stack(geoms))
     return [Sample(g, e, f) for g, e, f in zip(geoms, energies, forces)]
 

@@ -16,10 +16,11 @@ stacked matmul (``_apply_kind``), and a run of ``multiz`` is one phase vector
 vectorised pass per kind, with a row axis of length 1 where all rows share
 it.  ``Layers.backward`` is the adjoint sweep: it keeps the state after every
 layer, un-applies each layer to lam with one op, and contracts once per qubit
-for the rotations and once for the phase blocks.  ``Layers.forward_tangent``
-and ``backward_tangent`` are the same sweep carrying the derivatives of psi
-and lam along a direction of the angles, each stacked with its state as one
-block of rows, from the tables' derivatives that ``Tables.build`` adds.
+for the rotations and once for the phase blocks.  Given the tables'
+derivatives along a direction of the angles (``Tables.build`` with a
+tangent), the same two loops carry the derivatives of psi and lam: each
+state runs stacked with its derivative as one block of rows, and a step
+adds U' psi (or U'^dag lam) to the derivative half.
 
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
@@ -247,6 +248,7 @@ class Tables:
 
     def __init__(self, num_qubits: int, ops):
         steps = _steps(ops)
+        self.windows = [window for window, _ in steps]
         self.first = {}   # op -> its first step
         for s, (_, i) in enumerate(steps):
             self.first.setdefault(i, s)
@@ -286,13 +288,13 @@ class Tables:
     def build(self, angles: np.ndarray, adjoint: bool = False, tangent=None):
         """Per step, in order: the table of a rotation block as
         ``_apply_kind`` takes it, or the phase (R, 2**n) of a phase block.
-        With ``adjoint``, also the tables that un-apply each step.  With
-        ``tangent``, a direction (rows, C) over the same columns, also the
-        derivatives of those tables along it, in the same layouts, and the
-        tables themselves take 2 * rows rows, to act on states stacked over
-        their derivatives (``Layers.forward_tangent``).  Returns (forward,
-        back, dforward, dback), None for what was not asked."""
-        forward, back, dforward, dback = [], [], [], []
+        With ``tangent``, a direction (rows, C) over the same columns, also
+        the derivatives of those tables along it, in the same layouts, and
+        the tables themselves take 2 * rows rows, to act on states stacked
+        over their derivatives (``Layers.forward``).  With ``adjoint``, also
+        the tables that un-apply each of them (``_unapply``).  Returns
+        (forward, back, dforward, dback), None for what was not asked."""
+        forward, dforward = [], []
         for k, gates, filled, count, low in self.rotations:
             half = _slot_values(angles, gates, filled) * 0.5
             trig = np.empty(half.shape + (2,))
@@ -313,34 +315,29 @@ class Tables:
                                + _kron(blocks, dmats[:, :, t]))
                 blocks = _kron(blocks, mats[:, :, t])
             if tangent is not None:
-                tables = _block_tables(dblocks, low, k)
-                dforward += tables
-                if adjoint:
-                    dback += [table.swapaxes(-1, -2) for table in tables]
+                dforward += _block_tables(dblocks, low, k)
                 blocks = np.concatenate((blocks, blocks))
-            tables = _block_tables(blocks, low, k)
-            forward += tables
-            if adjoint:
-                back += [table.swapaxes(-1, -2) for table in tables]
+            forward += _block_tables(blocks, low, k)
         if len(self.phase_cols):
             phase = np.exp(-1j * self._exponents(angles))
             if tangent is not None:
-                dphase = (-1j * self._exponents(tangent) * phase).swapaxes(0, 1)
-                dforward += list(dphase)
-                if adjoint:
-                    dback += list(np.conj(dphase))
+                dphase = -1j * self._exponents(tangent) * phase
+                dforward += list(dphase.swapaxes(0, 1))
                 phase = np.concatenate((phase, phase))
-            phase = phase.swapaxes(0, 1)
-            forward += list(phase)
-            if adjoint:
-                back += list(np.conj(phase))
-        order = self.order
-        forward = [forward[s] for s in order]
-        back = [back[s] for s in order] if adjoint else None
+            forward += list(phase.swapaxes(0, 1))
+        forward = [forward[s] for s in self.order]
+        back = self._unapply(forward) if adjoint else None
         if tangent is None:
             return forward, back, None, None
-        return (forward, back, [dforward[s] for s in order],
-                [dback[s] for s in order] if adjoint else None)
+        dforward = [dforward[s] for s in self.order]
+        return forward, back, dforward, self._unapply(dforward) if adjoint else None
+
+    def _unapply(self, tables: list) -> list:
+        """The tables that un-apply the steps' ``tables``, or take the
+        derivatives of those: a rotation block's transpose, a phase
+        block's conjugate."""
+        return [np.conj(table) if window is None else table.swapaxes(-1, -2)
+                for window, table in zip(self.windows, tables)]
 
     def _exponents(self, angles: np.ndarray) -> np.ndarray:
         """A S of every phase block and row, (rows, P, 2**n): one
@@ -419,6 +416,7 @@ class Layers:
                  slot[i - 1] if t == len(mine) - 1 else None)
                 for t, s in enumerate(mine)]
         self.last_slot = slot[-1] if ops else None
+        self.no_tangents = [None] * len(steps)
         self.num_rotations = len(rot)
         spare = len(kinds)   # the gradient column that takes padding
         # per qubit, the gate rotating it in each rotation layer
@@ -433,86 +431,61 @@ class Layers:
         # 2 S^T, one (2**n, w) matrix per block
         self.phase_signs = np.ascontiguousarray(2.0 * signs.swapaxes(1, 2))[:, None]
 
-    def _step(self, window, amps: np.ndarray, table, out=None) -> np.ndarray:
-        """One kernel call: a rotation block on ``window``, or a phase block
-        where it is None.  ``forward`` and ``backward``, which every circuit
-        call runs, dispatch inline to save a method call per kernel call."""
-        if window is None:
-            return _apply_phase(amps, table, out)
-        return _apply_kind(amps, self.num_qubits, "ry", window, table, out)
-
-    def forward(self, amps: np.ndarray, tables, states=None) -> np.ndarray:
+    def forward(self, amps: np.ndarray, tables, states=None,
+                tangents=None) -> np.ndarray:
         """Apply every layer to amplitudes (rows, 2**n), step s through
         ``tables[s]``; the state after each layer goes to its slot of
-        ``states`` when that is given."""
-        n = self.num_qubits
-        for (window, slot), table in zip(self.steps, tables):
+        ``states`` when that is given.  With ``tangents``, the rows are R
+        states over their derivatives along a direction of the angles, and
+        ``tangents[s]``, the derivative U' of ``tables[s]`` (None where it
+        is 0), adds U' psi to them: psi' <- U psi' + U' psi."""
+        n, half = self.num_qubits, len(amps) // 2
+        for (window, slot), table, tangent in zip(self.steps, tables,
+                                                  tangents or self.no_tangents):
             out = None if states is None or slot is None else states[slot]
             if window is None:
-                amps = _apply_phase(amps, table, out)
+                moved = _apply_phase(amps, table, out)
+                if tangent is not None:
+                    moved[half:] += _apply_phase(amps[:half], tangent)
             else:
-                amps = _apply_kind(amps, n, "ry", window, table, out)
+                moved = _apply_kind(amps, n, "ry", window, table, out)
+                if tangent is not None:
+                    moved[half:] += _apply_kind(amps[:half], n, "ry", window, tangent)
+            amps = moved
         return amps
 
-    def forward_tangent(self, amps: np.ndarray, tables, tangents, states) -> None:
-        """``forward`` with the state's derivative along a direction of the
-        angles carried beside it, by the product rule psi' <- U psi' + U'
-        psi: both run as one stack of 2R rows, psi over psi', through the
-        tables of ``Tables.build`` with a tangent, and ``tangents[s]``, the
-        derivative of ``tables[s]`` (None where it is 0), adds U' psi.  The
-        state after each layer goes to its slot of ``states[:, 0]`` and its
-        derivative to ``states[:, 1]``."""
-        rows = len(amps)
-        pair = np.concatenate((amps, np.zeros_like(amps)))
-        for (window, slot), table, tangent in zip(self.steps, tables, tangents):
-            out = None if slot is None else states[slot].reshape(pair.shape)
-            moved = self._step(window, pair, table, out)
-            if tangent is not None:
-                moved[rows:] += self._step(window, pair[:rows], tangent)
-            pair = moved
-
     def backward(self, psi: np.ndarray, lam: np.ndarray, observable: np.ndarray,
-                 back, grads: np.ndarray) -> None:
+                 back, grads: np.ndarray, tangents=None) -> None:
         """Adjoint sweep over the states ``psi`` that ``forward`` kept: set
         lam = O psi after the last layer, un-apply the layers last to first
         into ``lam`` (step s through ``back[s]``), and write d<O>/d(angle of
-        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]`` (``_contract``)."""
-        n = self.num_qubits
-        np.multiply(psi[self.last_slot], observable, out=lam[self.last_slot])
+        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]`` (``_contract``).
+        With ``tangents`` (``tangents[s]`` the derivative of ``back[s]``),
+        ``psi`` holds states over derivatives, and lam' = O psi', lam' <-
+        U^dag lam' + U'^dag lam runs stacked over lam, so that ``grads``
+        takes 2 Im <lam'|G_g|psi> in its first half and 2 Im <lam|G_g|psi'>
+        in its second: their sum is the derivative along the direction."""
+        n, last, half = self.num_qubits, self.last_slot, psi.shape[1] // 2
+        if tangents is None:
+            np.multiply(psi[last], observable, out=lam[last])
+        else:
+            np.multiply(psi[last, half:], observable, out=lam[last, :half])
+            np.multiply(psi[last, :half], observable, out=lam[last, half:])
+        tangents = tangents or self.no_tangents
         for window, s, src, dst in self.back_steps:
             if src is not None:
                 amps = lam[src]
             out = None if dst is None else lam[dst]
             if window is None:
-                amps = _apply_phase(amps, back[s], out)
+                moved = _apply_phase(amps, back[s], out)
+                if tangents[s] is not None:
+                    moved[:half] += _apply_phase(amps[half:], tangents[s])
             else:
-                amps = _apply_kind(amps, n, "ry", window, back[s], out)
-        self._contract(psi, lam, grads)
-
-    def backward_tangent(self, psi: np.ndarray, lam: np.ndarray,
-                         observable: np.ndarray, back, tangents,
-                         grads: np.ndarray) -> None:
-        """``backward`` differentiated along the direction of
-        ``forward_tangent``, over the states and derivatives it kept in
-        ``psi``: lam' = O psi' after the last layer and lam' <- U^dag lam' +
-        U'^dag lam, run as one stack with lam as there, lam' into ``lam[:,
-        0]`` and lam into ``lam[:, 1]`` (``tangents[s]`` the derivative of
-        ``back[s]``).  The derivative of 2 Im <lam|G_g|psi> is 2 Im
-        (<lam'|G_g|psi> + <lam|G_g|psi'>); for R rows, ``grads`` (2R,
-        len(kinds) + 2) takes the first term in rows :R and the second in
-        R:."""
-        layers, _, rows, size = psi.shape
-        psi, lam = (x.reshape(layers, 2 * rows, size) for x in (psi, lam))
-        last = self.last_slot
-        np.multiply(psi[last, rows:], observable, out=lam[last, :rows])
-        np.multiply(psi[last, :rows], observable, out=lam[last, rows:])
-        for window, s, src, dst in self.back_steps:
-            if src is not None:
-                pair = lam[src]
-            moved = self._step(window, pair, back[s], None if dst is None else lam[dst])
-            if tangents[s] is not None:
-                moved[:rows] += self._step(window, pair[rows:], tangents[s])
-            pair = moved
+                moved = _apply_kind(amps, n, "ry", window, back[s], out)
+                if tangents[s] is not None:
+                    moved[:half] += _apply_kind(amps[half:], n, "ry", window,
+                                                tangents[s])
+            amps = moved
         self._contract(psi, lam, grads)
 
     def _contract(self, psi: np.ndarray, lam: np.ndarray, grads: np.ndarray) -> None:

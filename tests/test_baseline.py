@@ -171,6 +171,32 @@ def test_mlp_force_field_consistency(rng):
         assert np.max(np.abs(forces - fd)) < 1e-6
 
 
+def test_energy_forces_runs_one_backward_pass(rng, monkeypatch):
+    from qnnff import baseline
+
+    preset = get_preset("lih")
+    data = generate_lih(30)
+    pipeline = preset.pipeline().fit(data.cartesians())
+    spec = MlpSpec((7, 4, 5, 2, 1))
+    ff = MlpForceField(spec, pipeline, rng.normal(scale=0.5, size=spec.param_count),
+                       energy_scale=1.4, energy_offset=0.8,
+                       encoding=preset.encoding_spec())
+    geoms = data.cartesians()[[9, 4, 17]]
+    energies_want = ff.predict_energy_batch(geoms)
+    forces_want = [ff.predict_forces(geom) for geom in geoms]
+    calls = []
+    monkeypatch.setattr(baseline, "mlp_forward",
+                        lambda *args: calls.append("forward") or mlp_forward(*args))
+    monkeypatch.setattr(baseline, "mlp_backward",
+                        lambda *args: calls.append("backward") or mlp_backward(*args))
+    energies, _ = ff.energy_forces(geoms)
+    assert calls == ["backward"]
+    assert np.array_equal(energies, energies_want)
+    # one geometry per call, so that the products round as in predict_forces
+    for geom, want in zip(geoms, forces_want):
+        assert np.array_equal(ff.energy_forces(geom[None])[1][0], want)
+
+
 def test_mlp_force_field_checkpoint(tmp_path, rng):
     from qnnff.model import load_checkpoint, save_checkpoint
 

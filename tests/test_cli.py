@@ -52,6 +52,14 @@ def test_gen_h3o(tmp_path):
     assert ds.num_atoms == 4
 
 
+@pytest.mark.parametrize("preset", ["h2o", "h3o"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_gen_rejects_a_count_below_one(tmp_path, preset, count, capsys):
+    assert run("gen", "--preset", preset, "--count", count,
+               "--out", tmp_path / "x.txt") == 2
+    assert "count must be at least 1" in capsys.readouterr().err
+
+
 def test_train_writes_artifacts(tiny_checkpoint):
     payload = json.loads(open(tiny_checkpoint).read())
     assert payload["family"] == "qnn"
@@ -128,6 +136,32 @@ def test_effdim_runs(tmp_path, tiny_checkpoint, lih_file, capsys):
     assert "normalized_d_n" in text
     d_n = float([l for l in text.splitlines() if l.startswith("d_n")][0].split("=")[1])
     assert 0.0 <= d_n <= 17.0
+
+
+# an explicit zero reaches the check that rejects it, not the default
+def test_train_rejects_zero_steps(lih_file, tmp_path, capsys):
+    assert run("train", "--data", lih_file, "--checkpoint", tmp_path / "m.json",
+               "--steps", 0) == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
+def test_train_rejects_zero_depth(lih_file, tmp_path, capsys):
+    assert run("train", "--data", lih_file, "--checkpoint", tmp_path / "m.json",
+               "--depth", 0, "--steps", 1) == 2
+    assert "depth" in capsys.readouterr().err
+
+
+def test_effdim_rejects_zero_n(tiny_checkpoint, lih_file, capsys):
+    assert run("effdim", "--checkpoint", tiny_checkpoint, "--data", lih_file,
+               "--n", 0, "--draws", 1) == 2
+    assert "sample size n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_md_rejects_a_non_finite_time_step(tmp_path, dt, capsys):
+    assert run("md", "--oracle", "--preset", "lih", "--dt", dt, "--steps", 2,
+               "--out", tmp_path / "traj.txt") == 2
+    assert "time step" in capsys.readouterr().err
 
 
 def test_md_flat_from_equilibrium(tmp_path, capsys):

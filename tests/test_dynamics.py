@@ -132,6 +132,15 @@ def test_config_validation():
                  v0=np.zeros(5))
 
 
+@pytest.mark.parametrize("dt, masses", [(np.nan, [1.0]), (np.inf, [1.0]),
+                                        (0.1, [np.nan]), (0.1, [1.0, np.inf])])
+def test_config_rejects_non_finite_step_and_masses(dt, masses):
+    # nan <= 0 is False, so a bare sign check lets NaN through
+    with pytest.raises(ArgumentError, match="finite"):
+        MdConfig(dt=dt, steps=10, masses=masses, x0=np.zeros(len(masses)),
+                 v0=np.zeros(len(masses)))
+
+
 def test_trajectory_round_trip(tmp_path):
     config = MdConfig(dt=0.05, steps=50, masses=[LIH_MU], x0=[1.2], v0=[0.0])
     traj = velocity_verlet_run(morse_provider, config)

@@ -135,3 +135,65 @@ def test_bad_gate_construction():
     with pytest.raises(ArgumentError):
         BoundGate("hadamard", (0,))
 
+
+
+def _random_layers(rng, num_qubits, length, rows):
+    """Layers and tables of a random gate list, with random angles per row."""
+    gates = random_gate_sequence(rng, num_qubits, length)
+    layers = statevec.Layers(num_qubits, [g.kind for g in gates],
+                             [g.qubits for g in gates])
+    angles = rng.uniform(-np.pi, np.pi, size=(rows, length))
+    return layers, statevec.Tables(num_qubits, layers.ops), angles
+
+
+def _sweep_rows(layers, tables, angles, direction=None):
+    """Final states and adjoint gradients of one forward and backward sweep
+    from |0...0>, with each state stacked over its derivative along
+    ``direction`` when that is given."""
+    n = layers.num_qubits
+    forward, back, dforward, dback = tables.build(angles, adjoint=True,
+                                                  tangent=direction)
+    amps = np.zeros((len(angles), 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    if direction is not None:
+        amps = np.concatenate((amps, np.zeros_like(amps)))
+    states = np.empty((2, len(layers.ops)) + amps.shape, dtype=complex)
+    final = layers.forward(amps, forward, states[0], dforward)
+    grads = np.zeros((len(amps), angles.shape[1] + 2))
+    layers.backward(states[0], states[1], statevec._zstring_signs(n, (0,)),
+                    back, grads, dback)
+    return final, grads
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+def test_tangent_rows_carry_the_derivative_of_the_state(num_qubits):
+    # the derivative half of a tangent sweep is the central difference of
+    # the state half along the direction, and the two halves of its
+    # gradients sum to that of the plain gradients; the state half is the
+    # plain run, bit for bit
+    rng = np.random.default_rng(num_qubits)
+    layers, tables, angles = _random_layers(rng, num_qubits, 16, rows=3)
+    direction = rng.normal(size=angles.shape)
+    final, grads = _sweep_rows(layers, tables, angles, direction)
+    plain, _ = _sweep_rows(layers, tables, angles)
+    h = 1e-5
+    (up, up_grads), (down, down_grads) = (
+        _sweep_rows(layers, tables, angles + sign * h * direction)
+        for sign in (1.0, -1.0))
+    rows, gates = len(angles), angles.shape[1]
+    assert np.array_equal(final[:rows], plain)
+    assert np.max(np.abs(final[rows:] - (up - down) / (2 * h))) < 1e-7
+    fd = (up_grads - down_grads)[:, :gates] / (2 * h)
+    assert np.max(np.abs((grads[:rows] + grads[rows:])[:, :gates] - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+def test_plain_rows_run_alike_stacked_or_apart(num_qubits):
+    # without tangents the rows are independent: an odd block of rows gives
+    # bit for bit what its parts give in two runs
+    rng = np.random.default_rng(10 + num_qubits)
+    layers, tables, angles = _random_layers(rng, num_qubits, 16, rows=5)
+    final, grads = _sweep_rows(layers, tables, angles)
+    parts = [_sweep_rows(layers, tables, part) for part in (angles[:2], angles[2:])]
+    assert np.array_equal(final, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(grads, np.concatenate([p[1] for p in parts]))
