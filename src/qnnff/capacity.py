@@ -67,25 +67,36 @@ class EffectiveDimensionReport:
         return "\n".join(f"{k} = {v}" for k, v in rows)
 
 
+def _gradient_rows(grad_fn, inputs, theta: np.ndarray) -> np.ndarray:
+    grads = np.atleast_2d(np.asarray(grad_fn(theta, inputs), dtype=float))
+    if grads.shape[0] < 1:
+        raise ArgumentError("need at least one data input")
+    return grads
+
+
 def fisher_matrix(grad_fn, inputs, theta) -> FisherEstimate:
     """Averaged outer product of output gradients at fixed parameters."""
     theta = np.asarray(theta, dtype=float)
-    grads = np.atleast_2d(np.asarray(grad_fn(theta, inputs), dtype=float))
+    grads = _gradient_rows(grad_fn, inputs, theta)
     k = grads.shape[0]
-    if k < 1:
-        raise ArgumentError("need at least one data input")
     return FisherEstimate(matrix=(grads.T @ grads) / k, num_samples=k, theta=theta)
 
 
 def _fisher_eigenvalues(grad_fn, inputs, theta) -> np.ndarray:
-    est = fisher_matrix(grad_fn, inputs, theta)
-    eig = np.linalg.eigvalsh(est.matrix)
+    """The d eigenvalues of the Fisher estimate G^T G / K at ``theta``.  With
+    fewer inputs than parameters (K < d) they come from the K x K Gram
+    matrix G G^T / K, which has the same nonzero eigenvalues, and d - K
+    zeros."""
+    theta = np.asarray(theta, dtype=float)
+    grads = _gradient_rows(grad_fn, inputs, theta)
+    k, d = grads.shape
+    eig = np.linalg.eigvalsh((grads @ grads.T if k < d else grads.T @ grads) / k)
     if eig.min() < PSD_TOLERANCE:
         raise NumericalError(
             f"Fisher estimate lost positive semidefiniteness "
             f"(min eigenvalue {eig.min():.3e}) at theta={theta!r}"
         )
-    return np.clip(eig, 0.0, None)
+    return np.concatenate((np.zeros(max(d - k, 0)), np.clip(eig, 0.0, None)))
 
 
 def effective_dimension(grad_fn, inputs, dim: int, n: int,

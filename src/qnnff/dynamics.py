@@ -45,6 +45,8 @@ class MdConfig:
             raise ArgumentError("masses must be finite and positive")
         if self.v0.shape != self.x0.shape:
             raise ArgumentError("x0 and v0 must have the same shape")
+        if not (np.all(np.isfinite(self.x0)) and np.all(np.isfinite(self.v0))):
+            raise ArgumentError("initial positions and velocities must be finite")
         if masses.size == self.x0.size:
             pass
         elif masses.size * 3 == self.x0.size:

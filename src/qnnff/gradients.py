@@ -5,10 +5,12 @@ Every parameterized gate here is generated by a Pauli string P:
 ``ry(t) = exp(-i t sigma_y / 2)`` and ``multiz(t) = exp(-i t P)``.
 
 *Adjoint mode* (Jones & Gacon, arXiv:2009.02823) runs one forward pass to
-the final state psi, keeping the state after every layer, sets lam = Z_0
-psi, and un-applies the layers last to first to lam; at each gate
-d<Z_0>/d(angle) = 2 Im <lam|G|psi> with G its generator, both states taken
-after the gate's layer.  One sweep per sample thus gives the output, every
+the final state psi, keeping the states that gradients are read at, sets
+lam = Z_0 psi, and un-applies the ops last to first to lam; at each gate
+d<Z_0>/d(angle) = 2 Im <lam|G|psi> with G its generator.  Both states are
+taken before the gate's op for a rotation and after it for a phase gate:
+an ``ry`` generator commutes with its whole rotation layer and a Z-string
+with its whole phase block, so no op needs to be split.  One sweep per sample thus gives the output, every
 parameter derivative and every encoding-occurrence derivative, which the
 product-expression chain factors turn into d f / d y.  ``sweep``,
 ``grad_params_batch``, ``grad_inputs_batch`` and the models' energies and
@@ -42,15 +44,16 @@ The counter charges what the shift rule would run on hardware, whatever
 the simulator did (4dm circuits per sample for a Hessian-vector product as
 for the mixed Hessian), and counts the simulated rows apart.
 
-One engine runs every circuit: ``_Program`` lowers a template to layers
-(``statevec.Layers``: rotation layers of blocks and diagonal phase blocks)
-plus the sources of its angle table, and ``_run`` forms the angles of each
-chunk (the shared angle row, and a per-row table with one shifted column
-per level of the shift rule) and runs them through the ``statevec`` layer
-loop under one memory budget.  ``_Layout`` says which layers share one
-table across rows (the trainable ones, and the D repeats of an encoding
-layer) and which take one per row (encoding layers, and any layer holding a
-shifted gate).
+One engine runs every circuit: ``_Program`` lowers a template to ops
+(``statevec.Layers``: on up to 3 qubits stages, each a rotation layer and
+the phase block after it as one complex matrix; on wider registers rotation
+layers of blocks and diagonal phase blocks) plus the sources of its angle
+table, and ``_run`` forms the angles of each chunk (the shared angle row,
+and a per-row table with one shifted column per level of the shift rule)
+and runs them through the ``statevec`` op loop under one memory budget.
+``_Layout`` says which ops share one table across rows (the trainable ones,
+and the D repeats of an encoding op) and which take one per row (encoding
+ops, and any op holding a shifted gate).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ counter = EvalCounter()
 
 
 class _Program:
-    """Template lowered to layers plus the sources of its angle table.
+    """Template lowered to ops plus the sources of its angle table.
 
     Gate ``g`` applies ``kinds[g]`` to ``qubits[g]``.  Its angle is
     ``theta[param[g]]`` for a trainable gate, the input monomial of occurrence
@@ -172,8 +175,8 @@ class _Program:
     def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
                levels=(), directions=None) -> tuple:
         """Angles of a block of rows: ``(layout, base, table, tangent)``,
-        with the angle row (1, G) of the layers every row shares and the
-        table (rows, U) of ``layout.row_gates``, the gates of the layers with
+        with the angle row (1, G) of the ops every row shares and the
+        table (rows, U) of ``layout.row_gates``, the gates of the ops with
         a table per row.  ``tangent`` is None or, given ``directions`` (a
         direction over the input occurrences per sample, as ``values``), the
         direction of each row's angles, as ``table``.
@@ -202,36 +205,37 @@ class _Program:
 
 
 class _Layout:
-    """How the layers take their tables under one set of shift levels.
+    """How the ops take their tables under one set of shift levels.
 
-    A layer with no input and no shifted gate takes one table that every row
-    shares.  Every other layer takes one table per row, built from the
+    An op with no input and no shifted gate takes one table that every row
+    shares.  Every other op takes one table per row, built from the
     columns of the per-row angle table that ``row_gates`` lists; the repeats
-    of an encoding layer none of whose gates is shifted share one.
+    of an encoding op none of whose gates is shifted share one.
     """
 
     def __init__(self, prog: _Program, levels):
         shifted = set(np.concatenate(levels).tolist()) if levels else set()
         occurrence = {g: o for o, g in enumerate(prog.input_cols.tolist())}
         shared, per_row, gates, seen = [], [], [], {}
-        source = []   # per layer: (0 shared or 1 per row, its index there)
+        source = []   # per op: (0 shared or 1 per row, its index there)
         for op in prog.layers.ops:
-            kind, data, cols = op
+            blocks, signs, cols = op
             cols = cols.tolist()
             if not any(g in occurrence or g in shifted for g in cols):
                 source.append((0, len(shared)))
                 shared.append(op)
                 continue
-            key = None if shifted.intersection(cols) else (kind, tuple(
-                (prog.qubits[g], prog.occurrence[occurrence[g]]) if g in occurrence
-                else g for g in cols))
+            key = None if shifted.intersection(cols) else tuple(
+                (prog.kinds[g], prog.qubits[g], prog.occurrence[occurrence[g]])
+                if g in occurrence else g for g in cols)
             if key in seen:
                 source.append((1, seen[key]))
                 continue
             if key is not None:
                 seen[key] = len(per_row)
             source.append((1, len(per_row)))
-            per_row.append((kind, data, np.arange(len(gates), len(gates) + len(cols))))
+            per_row.append((blocks, signs,
+                            np.arange(len(gates), len(gates) + len(cols))))
             gates += cols
         self.row_gates = np.array(gates, dtype=int)
         self.input_at = np.array([u for u, g in enumerate(gates) if g in occurrence],
@@ -244,18 +248,17 @@ class _Layout:
         self.shared, self.per_row = Tables(n, shared), Tables(n, per_row)
         groups = (self.shared, self.per_row)
         # per kernel call, its group and its step there
-        self.steps = [(group, groups[group].first[j] + k)
-                      for (group, j), op in zip(source, prog.layers.ops)
-                      for k in range(len(op[1]) if op[0] == "ry" else 1)]
+        self.steps = [(group, s) for group, j in source
+                      for s in groups[group].of_op[j]]
         self.memo = (None, None)   # the shared tables of the last angle row
         # bytes one row of a chunk holds in a plain run, an adjoint sweep and
         # a tangent sweep: its amplitudes with their temporaries, its angles
-        # and tables and, in a sweep, the states kept after every layer and
+        # and tables and, in a sweep, the states kept for the gradients and
         # the derivative table; a tangent sweep doubles all of it and adds
         # the tables' derivatives
         amps, tables = 16 << n, self.per_row.row_bytes()
         size = 3 * amps + 8 * len(gates) + tables
-        adjoint = size + 2 * len(source) * amps + 8 * (len(prog.kinds) + 2)
+        adjoint = size + 2 * prog.layers.kept * amps + 8 * (len(prog.kinds) + 2)
         self.row_bytes = {"run": size, "adjoint": adjoint,
                           "tangent": 2 * adjoint + tables}
 
@@ -306,7 +309,7 @@ def _execute(prog: _Program, angles: tuple, rows: int, wrt=None) -> np.ndarray:
         return _expectation_z_raw(layers.forward(amps, tables), n, OBSERVABLE_QUBIT)
     if tangent is not None:
         amps = np.concatenate((amps, np.zeros_like(amps)))
-    states = np.empty((2, len(layers.ops)) + amps.shape, dtype=complex)
+    states = np.empty((2, layers.kept) + amps.shape, dtype=complex)
     amps = layers.forward(amps, tables, states[0], dtables)
     grads = np.empty((len(amps), len(prog.kinds) + 2))
     if tangent is None:

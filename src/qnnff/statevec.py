@@ -8,19 +8,25 @@ Conventions (fixed for reproducibility, checked by the test suite):
 * ``multiz(phi)`` on qubits ``(j1 .. jk)`` is ``exp(-i phi Z_{j1} ... Z_{jk})``
   with a *full* angle (no 1/2 factor).
 
-Circuits run as layers (``Layers``), one kernel call per layer and block
-rather than per gate: a run of ``ry`` on distinct qubits is a Kronecker
-product of real blocks on windows of at most 3 neighbouring qubits, each one
-stacked matmul (``_apply_kind``), and a run of ``multiz`` is one phase vector
-(``_apply_phase``).  ``Tables`` builds every layer's table of a call in one
-vectorised pass per kind, with a row axis of length 1 where all rows share
-it.  ``Layers.backward`` is the adjoint sweep: it keeps the state after every
-layer, un-applies each layer to lam with one op, and contracts once per qubit
-for the rotations and once for the phase blocks.  Given the tables'
-derivatives along a direction of the angles (``Tables.build`` with a
-tangent), the same two loops carry the derivatives of psi and lam: each
-state runs stacked with its derivative as one block of rows, and a step
-adds U' psi (or U'^dag lam) to the derivative half.
+Circuits run as ops (``Layers``), one kernel call (``_apply_kind``) per
+stage or block rather than per gate.  A run of ``ry`` on distinct qubits (a
+rotation layer) is a Kronecker product of real blocks K on windows of at
+most ``BLOCK_QUBITS`` = 3 neighbouring qubits, and a run of ``multiz`` (a
+phase block) is one phase vector p.  A register of up to 3 qubits is one
+window, and there each rotation layer and the phase block after it run as
+one stage: one stacked complex matmul by T = diag(p) K.  A wider register
+runs one real matmul per block and one product per phase block.  ``Tables``
+builds every table of a call in one vectorised pass per kind, with a row
+axis of length 1 where all rows share it.  ``Layers.backward`` is the
+adjoint sweep: it keeps the states that gradients are read at, un-applies
+each op to lam, and contracts once per qubit for the rotations and once for
+the phase blocks.  A rotation gate's gradient is read at the state before
+its op and a phase gate's at the state after it, where the rest of the op
+commutes with the gate's generator.  Given the tables' derivatives along a
+direction of the angles (``Tables.build`` with a tangent), the same two
+loops carry the derivatives of psi and lam: each state runs stacked with its
+derivative as one block of rows, and a step adds U' psi (or U'^dag lam) to
+the derivative half.
 
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
@@ -108,14 +114,17 @@ def init_zero(num_qubits: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Layers.  A circuit runs as a list of layers (``lower_ops``): each run of
-# consecutive ``ry`` on distinct qubits is one rotation layer and each run of
-# consecutive ``multiz`` (diagonal, commuting) one phase block.  A layer acts
-# through tables.  A rotation layer is a Kronecker product of real blocks,
-# one per window of at most BLOCK_QUBITS neighbouring qubits (``_windows``),
-# each applied by one stacked matmul; a phase block is the phase vector
-# exp(-i A S) of its angles A and sign table S.  Tables carry a leading row
-# axis, of length 1 when every row shares them.
+# Ops.  A circuit runs as a list of ops (``lower_ops``) built from its runs of
+# consecutive ``ry`` on distinct qubits (rotation layers) and of consecutive
+# ``multiz`` (phase blocks: diagonal, commuting).  An op acts through
+# tables, one per kernel call (``_steps``).  A rotation layer is a Kronecker
+# product of real blocks K, one per window of at most BLOCK_QUBITS
+# neighbouring qubits (``_windows``), each one stacked matmul; a phase block
+# is the phase vector p = exp(-i A S) of its angles A and sign table S.  A
+# register that one window covers runs in stages instead: a rotation layer
+# and the phase block after it are one op with the complex table
+# T = diag(p) K, one stacked matmul.  Tables carry a leading row axis, of
+# length 1 when every row shares them.
 
 BLOCK_QUBITS = 3
 
@@ -152,17 +161,31 @@ def _low_window(num_qubits: int, qubits) -> bool:
 
 def _apply_kind(amps: np.ndarray, num_qubits: int, kind: str,
                 qubits: tuple[int, ...], table: np.ndarray, out=None) -> np.ndarray:
-    """One rotation block, the real matrix K of a layer's rotations on the
-    window ``qubits`` (k neighbouring qubits, lowest first), applied to
-    amplitudes (rows, 2**n) by one stacked matmul.  ``table`` is K as (rows
-    or 1, 1, 2**k, 2**k), which multiplies the window's axis from the left;
-    on a low window (``_low_window``) it is kron(K^T, I_2) as (rows or 1,
-    2**(k+1), 2**(k+1)), which multiplies each run of 2**k amplitudes from
-    the right, one product per row instead of one per higher basis state.
-    Each row's products run on their own, so their rounding does not depend
-    on the number of rows.  Writes into ``out`` when given."""
+    """One kernel call on amplitudes (rows, 2**n), writing into ``out`` when
+    given.  Each row's products run on their own, so their rounding does not
+    depend on the number of rows.
+
+    * ``"stage"``: the complex matrix T = diag(p) K of a stage, ``table``
+      its transpose as (rows or 1, 2**n, 2**n), which multiplies each row
+      from the right: one stacked matmul (rows, 1, 2**n) @ table.
+    * ``"multiz"``: a phase block, ``table`` its phase vector (rows or 1,
+      2**n).
+    * ``"ry"``: a rotation block, the real matrix K of a layer's rotations
+      on the window ``qubits`` (k neighbouring qubits, lowest first), by one
+      stacked matmul.  ``table`` is K as (rows or 1, 1, 2**k, 2**k), which
+      multiplies the window's axis from the left; on a low window
+      (``_low_window``) it is kron(K^T, I_2) as (rows or 1, 2**(k+1),
+      2**(k+1)), which multiplies each run of 2**k amplitudes from the
+      right, one product per row instead of one per higher basis state."""
+    if kind == "stage":
+        if out is None:
+            return np.matmul(amps[:, None], table)[:, 0]
+        np.matmul(amps[:, None], table, out=out[:, None])
+        return out
+    if kind == "multiz":
+        return np.multiply(amps, table, out=out)
     if kind != "ry":
-        raise ArgumentError(f"no block kernel for kind {kind!r}")
+        raise ArgumentError(f"no kernel for kind {kind!r}")
     rows, k, lo = len(amps), len(qubits), qubits[0]
     if _low_window(num_qubits, qubits):
         shape = (rows, 1 << (num_qubits - k), 2 << k)
@@ -176,89 +199,89 @@ def _apply_kind(amps: np.ndarray, num_qubits: int, kind: str,
     return np.matmul(*operands).reshape(rows, -1).view(complex)
 
 
-def _apply_phase(amps: np.ndarray, phase: np.ndarray, out=None) -> np.ndarray:
-    """One phase block: amplitudes (rows, 2**n) times its phase vector."""
-    return np.multiply(amps, phase, out=out)
-
-
 def _expectation_z_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     signs = _zstring_signs(num_qubits, (qubit,))
     return (signs * (amps.real ** 2 + amps.imag ** 2)).sum(axis=-1)
 
 
 def lower_ops(num_qubits: int, kinds, qubits) -> list:
-    """Group a gate list into layers ``(kind, data, cols)`` over the gate
-    columns ``cols``: ``("ry", blocks, cols)`` for a run of consecutive
-    ``ry`` on distinct qubits, with ``(window, slot)`` in ``blocks`` for each
-    window holding one of them, ``slot[t]`` the position in ``cols`` of the
-    gate on the window's t-th qubit from the top or -1; and ``("phase",
-    signs, cols)`` for a run of consecutive ``multiz``, with its sign table
-    (len(cols), 2**n)."""
-    ops, run = [], []
-
-    def close():
-        if not run:
-            return
-        cols = np.array(run)
-        if kinds[run[0]] == "multiz":
-            ops.append(("phase", np.stack([
-                _zstring_signs(num_qubits, tuple(sorted(qubits[g]))) for g in run]),
-                cols))
-        else:
-            where = {qubits[g][0]: k for k, g in enumerate(run)}
-            ops.append(("ry", tuple(
-                (w, np.array([where.get(q, -1) for q in reversed(w)]))
-                for w in _windows(num_qubits) if any(q in where for q in w)), cols))
-        run.clear()
-
+    """Group a gate list into ops ``(blocks, signs, cols)`` over the gate
+    columns ``cols``, its rotations first.  ``blocks`` holds ``(window,
+    slot)`` for each window that the op rotates, ``slot[t]`` the position in
+    ``cols`` of the gate on the window's t-th qubit from the top or -1, and
+    ``signs`` the sign table (len(signs), 2**n) of its phase gates, the last
+    len(signs) of ``cols``.  On a register of at most BLOCK_QUBITS qubits an
+    op is a stage: a rotation layer and the phase block after it, either of
+    them possibly empty, with the register's one window in ``blocks``.  On a
+    wider one an op is a rotation layer or a phase block."""
+    stages = num_qubits <= BLOCK_QUBITS
+    groups = []   # (rotation gates, phase gates) per op
     for g, kind in enumerate(kinds):
-        if run and (kind != kinds[run[0]] or kind == "ry" and any(
-                qubits[h][0] == qubits[g][0] for h in run)):
-            close()
-        run.append(g)
-    close()
+        last = groups[-1] if groups else None
+        if kind == "ry":
+            join = last is not None and not last[1] and all(
+                qubits[h][0] != qubits[g][0] for h in last[0])
+        else:
+            join = last is not None and bool(last[1] or stages)
+        if join:
+            last[kind != "ry"].append(g)
+        else:
+            groups.append(([g], []) if kind == "ry" else ([], [g]))
+    ops = []
+    for rot, phase in groups:
+        where = {qubits[g][0]: k for k, g in enumerate(rot)}
+        blocks = tuple((w, np.array([where.get(q, -1) for q in reversed(w)]))
+                       for w in _windows(num_qubits)
+                       if stages or any(q in where for q in w))
+        signs = np.array([_zstring_signs(num_qubits, tuple(sorted(qubits[g])))
+                          for g in phase]).reshape(len(phase), 1 << num_qubits)
+        ops.append((blocks, signs, np.array(rot + phase, dtype=int)))
     return ops
 
 
+def _steps(num_qubits: int, ops) -> list:
+    """The kernel calls of ``ops`` in order, ``(kind, window, op)``: one
+    ``"stage"`` per op on a register of at most BLOCK_QUBITS qubits;
+    otherwise one ``"ry"`` per rotation block and one ``"multiz"``, window
+    None, per phase block."""
+    if num_qubits <= BLOCK_QUBITS:
+        return [("stage", blocks[0][0], i) for i, (blocks, _, _) in enumerate(ops)]
+    return [step for i, (blocks, _, _) in enumerate(ops)
+            for step in ([("ry", w, i) for w, _ in blocks] or [("multiz", None, i)])]
+
+
 def _padded_phases(num_qubits: int, ops):
-    """Gate columns (P, w) and sign tables (P, w, 2**n) of the P phase blocks
-    in ``ops``, padded to the widest block w with column -1 and zero signs."""
-    blocks = [(signs, cols) for kind, signs, cols in ops if kind == "phase"]
-    width = max((len(cols) for _, cols in blocks), default=0)
-    cols = np.full((len(blocks), width), -1)
-    signs = np.zeros((len(blocks), width, 1 << num_qubits))
-    for p, (block_signs, block_cols) in enumerate(blocks):
-        cols[p, :len(block_cols)] = block_cols
-        signs[p, :len(block_cols)] = block_signs
-    return cols, signs
-
-
-def _steps(ops) -> list:
-    """The kernel calls of ``ops`` in order: one per rotation block, with its
-    window, and one per phase block, with None."""
-    return [(window, i) for i, (kind, data, _) in enumerate(ops)
-            for window in ([w for w, _ in data] if kind == "ry" else [None])]
+    """Gate columns (P, w) and sign tables (P, w, 2**n) of the phase gates of
+    the P ``ops``, padded to the widest w with column -1 and zero signs."""
+    width = max((len(signs) for _, signs, _ in ops), default=0)
+    cols = np.full((len(ops), width), -1)
+    table = np.zeros((len(ops), width, 1 << num_qubits))
+    for p, (_, signs, op_cols) in enumerate(ops):
+        cols[p, :len(signs)] = op_cols[len(op_cols) - len(signs):]
+        table[p, :len(signs)] = signs
+    return cols, table
 
 
 class Tables:
     """Builds the table of every kernel call (``_steps``) of ``ops`` from an
     angle matrix (rows or 1, C) whose column c holds the angle of gate column
-    c: one vectorised pass for all rotation blocks of a window size and one
-    for all phase blocks, every row on its own."""
+    c: one vectorised pass for all rotation blocks of a window size, one for
+    all phase vectors and, on a register of stages, one product that
+    composes them, every row on its own."""
 
     def __init__(self, num_qubits: int, ops):
-        steps = _steps(ops)
-        self.windows = [window for window, _ in steps]
-        self.first = {}   # op -> its first step
-        for s, (_, i) in enumerate(steps):
-            self.first.setdefault(i, s)
+        steps = _steps(num_qubits, ops)
+        self.stages = num_qubits <= BLOCK_QUBITS
+        self.kinds = [kind for kind, _, _ in steps]
+        self.of_op = [[] for _ in ops]   # the steps of each op
         self.rotations = []   # (size, gate column per slot, filled slots,
         #                        blocks, positions of the low-window blocks)
         by_size = {}
-        for s, (window, i) in enumerate(steps):
+        for s, (kind, window, i) in enumerate(steps):
+            self.of_op[i].append(s)
             if window is not None:
-                _, data, cols = ops[i]
-                slot = dict(data)[window]
+                blocks, _, cols = ops[i]
+                slot = dict(blocks)[window]
                 gates, where, low = by_size.setdefault(len(window), ([], [], []))
                 gates.append(np.where(slot >= 0, cols[slot], -1))
                 low.append(_low_window(num_qubits, window))
@@ -271,73 +294,68 @@ class Tables:
                                    None if filled.all() else filled, len(where),
                                    np.flatnonzero(low)))
             order += where
-        order += [s for s, (w, _) in enumerate(steps) if w is None]
+        phased = [s for s, kind in enumerate(self.kinds) if kind != "ry"]
+        if not self.stages:
+            order += phased
         self.order = np.argsort(order).tolist()
         # a padding column reads the last angle under a zero sign
-        self.phase_cols, self.phase_signs = _padded_phases(num_qubits, ops)
+        self.phase_cols, self.phase_signs = _padded_phases(
+            num_qubits, [ops[steps[s][2]] for s in phased])
 
     def row_bytes(self) -> int:
         """Bytes the tables of one row take while they are built and used."""
         size = 0
         for k, gates, filled, blocks, low in self.rotations:
             size += 80 * (len(gates) if filled is None else len(filled))
-            size += blocks * (24 << 2 * k) + len(low) * (96 << 2 * k)
+            size += blocks * ((56 if self.stages else 24) << 2 * k)
+            size += len(low) * (96 << 2 * k)
         return (size + 8 * self.phase_cols.size
                 + 56 * len(self.phase_cols) * self.phase_signs.shape[-1])
 
     def build(self, angles: np.ndarray, adjoint: bool = False, tangent=None):
-        """Per step, in order: the table of a rotation block as
-        ``_apply_kind`` takes it, or the phase (R, 2**n) of a phase block.
-        With ``tangent``, a direction (rows, C) over the same columns, also
-        the derivatives of those tables along it, in the same layouts, and
-        the tables themselves take 2 * rows rows, to act on states stacked
-        over their derivatives (``Layers.forward``).  With ``adjoint``, also
-        the tables that un-apply each of them (``_unapply``).  Returns
-        (forward, back, dforward, dback), None for what was not asked."""
-        forward, dforward = [], []
-        for k, gates, filled, count, low in self.rotations:
-            half = _slot_values(angles, gates, filled) * 0.5
-            trig = np.empty(half.shape + (2,))
-            np.cos(half, out=trig[..., 0])
-            np.sin(half, out=trig[..., 1])
-            mats = _rotation_mats(trig, count, k)
-            blocks = mats[:, :, 0]
-            if tangent is not None:
-                # dR(a)/da = R(a + pi) / 2: (cos, sin) -> (-sin, cos) / 2
-                rate = _slot_values(tangent, gates, filled) * 0.5
-                dmats = _rotation_mats(np.stack((-trig[..., 1] * rate,
-                                                 trig[..., 0] * rate), axis=-1),
-                                       count, k)
-                dblocks = dmats[:, :, 0]
-            for t in range(1, k):   # Kronecker product, highest qubit first
-                if tangent is not None:
-                    dblocks = (_kron(dblocks, mats[:, :, t])
-                               + _kron(blocks, dmats[:, :, t]))
-                blocks = _kron(blocks, mats[:, :, t])
-            if tangent is not None:
-                dforward += _block_tables(dblocks, low, k)
-                blocks = np.concatenate((blocks, blocks))
-            forward += _block_tables(blocks, low, k)
+        """Per step, in order, its table as ``_apply_kind`` takes it.  With
+        ``tangent``, a direction (rows, C) over the same columns, also the
+        derivatives of those tables along it, in the same layouts, and the
+        tables themselves take 2 * rows rows, to act on states stacked over
+        their derivatives (``Layers.forward``).  With ``adjoint``, also the
+        tables that un-apply each of them (``_unapply``).  Returns (forward,
+        back, dforward, dback), None for what was not asked."""
+        blocks = [_rotation_blocks(angles, tangent, *group[:4])
+                  for group in self.rotations]
+        phase = dphase = None
         if len(self.phase_cols):
             phase = np.exp(-1j * self._exponents(angles))
             if tangent is not None:
                 dphase = -1j * self._exponents(tangent) * phase
-                dforward += list(dphase.swapaxes(0, 1))
-                phase = np.concatenate((phase, phase))
-            forward += list(phase.swapaxes(0, 1))
-        forward = [forward[s] for s in self.order]
+        if self.stages:
+            forward, dforward = _stage_tables(blocks, phase, dphase)
+        else:
+            forward, dforward = [], []
+            for (k, _, _, _, low), (mats, dmats) in zip(self.rotations, blocks):
+                forward += _block_tables(mats, low, k)
+                if dmats is not None:
+                    dforward += _block_tables(dmats, low, k)
+            if phase is not None:
+                forward += list(phase.swapaxes(0, 1))
+                if dphase is not None:
+                    dforward += list(dphase.swapaxes(0, 1))
+            forward = [forward[s] for s in self.order]
+            dforward = [dforward[s] for s in self.order] if tangent is not None else None
+        if tangent is not None:
+            forward = [np.concatenate((table, table)) for table in forward]
         back = self._unapply(forward) if adjoint else None
         if tangent is None:
             return forward, back, None, None
-        dforward = [dforward[s] for s in self.order]
         return forward, back, dforward, self._unapply(dforward) if adjoint else None
 
     def _unapply(self, tables: list) -> list:
         """The tables that un-apply the steps' ``tables``, or take the
-        derivatives of those: a rotation block's transpose, a phase
-        block's conjugate."""
-        return [np.conj(table) if window is None else table.swapaxes(-1, -2)
-                for window, table in zip(self.windows, tables)]
+        derivatives of those: a stage's conjugate transpose, a rotation
+        block's transpose, a phase block's conjugate."""
+        return [table.swapaxes(-1, -2) if kind == "ry"
+                else np.conj(table) if kind == "multiz"
+                else np.conj(table).swapaxes(-1, -2)
+                for kind, table in zip(self.kinds, tables)]
 
     def _exponents(self, angles: np.ndarray) -> np.ndarray:
         """A S of every phase block and row, (rows, P, 2**n): one
@@ -346,6 +364,43 @@ class Tables:
         vector is summed in another order than a contiguous one."""
         return np.matmul(np.take(angles, self.phase_cols, axis=1)[:, :, None],
                          self.phase_signs)[:, :, 0]
+
+
+def _rotation_blocks(angles: np.ndarray, tangent, k: int, gates: np.ndarray,
+                     filled, count: int):
+    """The real blocks K (rows, count, 2**k, 2**k) of a window size's
+    rotation steps and, with ``tangent``, their derivatives along it, else
+    None."""
+    half = _slot_values(angles, gates, filled) * 0.5
+    trig = np.empty(half.shape + (2,))
+    np.cos(half, out=trig[..., 0])
+    np.sin(half, out=trig[..., 1])
+    mats = _rotation_mats(trig, count, k)
+    blocks, dblocks = mats[:, :, 0], None
+    if tangent is not None:
+        # dR(a)/da = R(a + pi) / 2: (cos, sin) -> (-sin, cos) / 2
+        rate = _slot_values(tangent, gates, filled) * 0.5
+        dmats = _rotation_mats(np.stack((-trig[..., 1] * rate,
+                                         trig[..., 0] * rate), axis=-1), count, k)
+        dblocks = dmats[:, :, 0]
+    for t in range(1, k):   # Kronecker product, highest qubit first
+        if dblocks is not None:
+            dblocks = _kron(dblocks, mats[:, :, t]) + _kron(blocks, dmats[:, :, t])
+        blocks = _kron(blocks, mats[:, :, t])
+    return blocks, dblocks
+
+
+def _stage_tables(blocks: list, phase, dphase) -> tuple:
+    """Tables of the stages from their rotation blocks [(K, dK)] and phase
+    vectors p (rows, stages, 2**n): T^T = K^T diag(p) and, given the
+    derivatives dp, dT^T = dK^T diag(p) + K^T diag(dp), one list each."""
+    if not blocks:
+        return [], []
+    (mats, dmats), = blocks
+    mats, phase = mats.swapaxes(-1, -2), phase[:, :, None]
+    dtables = [] if dphase is None else list(
+        (dmats.swapaxes(-1, -2) * phase + mats * dphase[:, :, None]).swapaxes(0, 1))
+    return list((mats * phase).swapaxes(0, 1)), dtables
 
 
 def _slot_values(angles: np.ndarray, gates: np.ndarray, filled) -> np.ndarray:
@@ -387,126 +442,126 @@ def _block_tables(blocks: np.ndarray, low: np.ndarray, k: int) -> list:
 
 
 class Layers:
-    """A gate list lowered to layers, with the gate loop and the adjoint sweep
-    over them.  An adjoint run keeps the state after every layer in one
-    (layers, rows, 2**n) array, in slots that put the rotation layers
-    first, so each kind's states form one contiguous slice."""
+    """A gate list lowered to ops, with the gate loop and the adjoint sweep
+    over them.  State t is the state after t ops, state 0 the initial one.
+    The gradient of op i's rotation gates is read at the state before it
+    (state i) and that of its phase gates at the state after it (state
+    i + 1): an ``ry`` generator commutes with its whole rotation layer and a
+    Z-string with its whole phase block.  An adjoint run keeps each state
+    that some gate reads, and the final state, in one (kept, rows, 2**n)
+    array, in slots that put the states read by rotations first and those
+    read by phases after them, so each set is one contiguous slice."""
 
     def __init__(self, num_qubits: int, kinds, qubits):
         self.num_qubits = num_qubits
         self.ops = ops = lower_ops(num_qubits, kinds, qubits)
-        rot = [i for i, op in enumerate(ops) if op[0] == "ry"]
-        phase = [i for i, op in enumerate(ops) if op[0] == "phase"]
-        slot = [0] * len(ops)
-        for k, i in enumerate(rot + phase):
-            slot[i] = k
-        steps = _steps(ops)
-        last = {i: s for s, (_, i) in enumerate(steps)}
-        # (window or None, state slot written after the step or None)
-        self.steps = [(w, slot[i] if last[i] == s else None)
-                      for s, (w, i) in enumerate(steps)]
-        # un-apply layers last to first but the first, from lam after the
-        # layer into lam after the one before it:
-        # (window or None, step, slot read or None, slot written or None)
-        self.back_steps = []
-        for i in range(len(ops) - 1, 0, -1):
-            mine = [s for s, (_, j) in enumerate(steps) if j == i][::-1]
-            self.back_steps += [
-                (steps[s][0], s, slot[i] if t == 0 else None,
-                 slot[i - 1] if t == len(mine) - 1 else None)
-                for t, s in enumerate(mine)]
-        self.last_slot = slot[-1] if ops else None
+        rot = [i for i, (_, signs, cols) in enumerate(ops) if len(cols) > len(signs)]
+        phase = [i + 1 for i, (_, signs, _) in enumerate(ops) if len(signs)]
+        both = set(rot).intersection(phase)
+        kept = ([t for t in rot if t not in both] + [t for t in rot if t in both]
+                + [t for t in phase if t not in both])
+        if len(ops) not in kept:
+            kept.append(len(ops))
+        slot = {t: s for s, t in enumerate(kept)}
+        self.kept = len(kept)
+        self.first_slot, self.final_slot = slot.get(0), slot[len(ops)]
+        self.rotation_states = slice(0, len(rot))
+        self.phase_states = slice(len(rot) - len(both), len(rot) - len(both)
+                                  + len(phase))
+        steps = _steps(num_qubits, ops)
+        last = {i: s for s, (_, _, i) in enumerate(steps)}
+        first = {i: s for s, (_, _, i) in reversed(list(enumerate(steps)))}
+        # (kind, window, state slot written after the step or None)
+        self.steps = [(kind, window, slot.get(i + 1) if last[i] == s else None)
+                      for s, (kind, window, i) in enumerate(steps)]
+        # un-apply ops last to first, from lam after the last down to the
+        # earliest kept state: (kind, window, step, slot written or None)
+        earliest = min(kept)
+        self.back_steps = [(kind, window, s, slot.get(i) if first[i] == s else None)
+                           for s, (kind, window, i) in reversed(list(enumerate(steps)))
+                           if i >= earliest]
         self.no_tangents = [None] * len(steps)
-        self.num_rotations = len(rot)
         spare = len(kinds)   # the gradient column that takes padding
-        # per qubit, the gate rotating it in each rotation layer
+        # per qubit, the gate rotating it in the op that reads each state
         on_qubit = np.full((num_qubits, len(rot)), spare)
-        for layer, i in enumerate(rot):
-            for g in ops[i][2]:
+        for layer, t in enumerate(kept[:len(rot)]):
+            _, signs, cols = ops[t]
+            for g in cols[:len(cols) - len(signs)]:
                 on_qubit[qubits[g][0], layer] = g
         self.rotation_cols = [(q, cols) for q, cols in enumerate(on_qubit)
                               if np.any(cols < spare)]
-        cols, signs = _padded_phases(num_qubits, ops)
+        cols, signs = _padded_phases(num_qubits, [
+            ops[t - 1] for t in kept[self.phase_states]])
         self.phase_cols = np.where(cols < 0, spare, cols).ravel()
         # 2 S^T, one (2**n, w) matrix per block
         self.phase_signs = np.ascontiguousarray(2.0 * signs.swapaxes(1, 2))[:, None]
 
     def forward(self, amps: np.ndarray, tables, states=None,
                 tangents=None) -> np.ndarray:
-        """Apply every layer to amplitudes (rows, 2**n), step s through
-        ``tables[s]``; the state after each layer goes to its slot of
-        ``states`` when that is given.  With ``tangents``, the rows are R
-        states over their derivatives along a direction of the angles, and
-        ``tangents[s]``, the derivative U' of ``tables[s]`` (None where it
-        is 0), adds U' psi to them: psi' <- U psi' + U' psi."""
+        """Apply every op to amplitudes (rows, 2**n), step s through
+        ``tables[s]``; the initial state and the state after each op go to
+        their slots of ``states`` when that is given and they are kept.
+        With ``tangents``, the rows are R states over their derivatives
+        along a direction of the angles, and ``tangents[s]``, the derivative
+        U' of ``tables[s]`` (None where it is 0), adds U' psi to them:
+        psi' <- U psi' + U' psi."""
         n, half = self.num_qubits, len(amps) // 2
-        for (window, slot), table, tangent in zip(self.steps, tables,
-                                                  tangents or self.no_tangents):
+        if states is not None and self.first_slot is not None:
+            states[self.first_slot] = amps
+        for (kind, window, slot), table, tangent in zip(self.steps, tables,
+                                                        tangents or self.no_tangents):
             out = None if states is None or slot is None else states[slot]
-            if window is None:
-                moved = _apply_phase(amps, table, out)
-                if tangent is not None:
-                    moved[half:] += _apply_phase(amps[:half], tangent)
-            else:
-                moved = _apply_kind(amps, n, "ry", window, table, out)
-                if tangent is not None:
-                    moved[half:] += _apply_kind(amps[:half], n, "ry", window, tangent)
+            moved = _apply_kind(amps, n, kind, window, table, out)
+            if tangent is not None:
+                moved[half:] += _apply_kind(amps[:half], n, kind, window, tangent)
             amps = moved
         return amps
 
     def backward(self, psi: np.ndarray, lam: np.ndarray, observable: np.ndarray,
                  back, grads: np.ndarray, tangents=None) -> None:
         """Adjoint sweep over the states ``psi`` that ``forward`` kept: set
-        lam = O psi after the last layer, un-apply the layers last to first
-        into ``lam`` (step s through ``back[s]``), and write d<O>/d(angle of
-        gate g) = 2 Im <lam|G_g|psi> into ``grads[:, g]`` (``_contract``).
-        With ``tangents`` (``tangents[s]`` the derivative of ``back[s]``),
-        ``psi`` holds states over derivatives, and lam' = O psi', lam' <-
-        U^dag lam' + U'^dag lam runs stacked over lam, so that ``grads``
-        takes 2 Im <lam'|G_g|psi> in its first half and 2 Im <lam|G_g|psi'>
-        in its second: their sum is the derivative along the direction."""
-        n, last, half = self.num_qubits, self.last_slot, psi.shape[1] // 2
+        lam = O psi after the last op, un-apply the ops last to first into
+        ``lam`` (step s through ``back[s]``) down to the earliest kept
+        state, and write d<O>/d(angle of gate g) = 2 Im <lam|G_g|psi> into
+        ``grads[:, g]`` (``_contract``).  With ``tangents`` (``tangents[s]``
+        the derivative of ``back[s]``), ``psi`` holds states over
+        derivatives, and lam' = O psi', lam' <- U^dag lam' + U'^dag lam runs
+        stacked over lam, so that ``grads`` takes 2 Im <lam'|G_g|psi> in its
+        first half and 2 Im <lam|G_g|psi'> in its second: their sum is the
+        derivative along the direction."""
+        n, final, half = self.num_qubits, self.final_slot, psi.shape[1] // 2
+        amps = lam[final]
         if tangents is None:
-            np.multiply(psi[last], observable, out=lam[last])
+            np.multiply(psi[final], observable, out=amps)
         else:
-            np.multiply(psi[last, half:], observable, out=lam[last, :half])
-            np.multiply(psi[last, :half], observable, out=lam[last, half:])
+            np.multiply(psi[final, half:], observable, out=amps[:half])
+            np.multiply(psi[final, :half], observable, out=amps[half:])
         tangents = tangents or self.no_tangents
-        for window, s, src, dst in self.back_steps:
-            if src is not None:
-                amps = lam[src]
+        for kind, window, s, dst in self.back_steps:
             out = None if dst is None else lam[dst]
-            if window is None:
-                moved = _apply_phase(amps, back[s], out)
-                if tangents[s] is not None:
-                    moved[:half] += _apply_phase(amps[half:], tangents[s])
-            else:
-                moved = _apply_kind(amps, n, "ry", window, back[s], out)
-                if tangents[s] is not None:
-                    moved[:half] += _apply_kind(amps[half:], n, "ry", window,
-                                                tangents[s])
+            moved = _apply_kind(amps, n, kind, window, back[s], out)
+            if tangents[s] is not None:
+                moved[:half] += _apply_kind(amps[half:], n, kind, window, tangents[s])
             amps = moved
         self._contract(psi, lam, grads)
 
     def _contract(self, psi: np.ndarray, lam: np.ndarray, grads: np.ndarray) -> None:
         """Write 2 Im <lam|G_g|psi> into ``grads[:, g]`` for every gate g,
-        G_g being the gate's generator and column len(kinds) taking padding;
-        both states are taken after the gate's layer, whose other gates
-        commute with G_g.  One contraction per qubit gives its rotations in
-        every layer (lam against psi with that qubit flipped, signed by its
-        bit), one all phase blocks.  Overwrites the phase blocks' slots of
-        ``lam``."""
-        n = self.num_qubits
-        rows, r = psi.shape[1], self.num_rotations
+        G_g being the gate's generator and column len(kinds) taking padding.
+        One contraction per qubit gives its rotations in every op (lam
+        against psi with that qubit flipped, signed by its bit), one all
+        phase blocks.  Overwrites the slots of ``lam`` that phases read."""
+        n, rows = self.num_qubits, psi.shape[1]
+        rot, phase = self.rotation_states, self.phase_states
         for q, cols in self.rotation_cols:
-            shape = (r, rows, 1 << (n - 1 - q), 2, 2 << q)
+            shape = (rot.stop, rows, 1 << (n - 1 - q), 2, 2 << q)
             grads[:, cols] = np.einsum(
-                "lrhik,lrhik,i->rl", lam[:r].view(float).reshape(shape),
-                psi[:r].view(float).reshape(shape)[:, :, :, ::-1], _FLIP_SIGN)
-        if r < len(self.ops):   # one vector-matrix product per block and row
-            overlap = lam[r:]
+                "lrhik,lrhik,i->rl", lam[rot].view(float).reshape(shape),
+                psi[rot].view(float).reshape(shape)[:, :, :, ::-1], _FLIP_SIGN)
+        if phase.stop > phase.start:   # one vector-matrix product per block and row
+            overlap = lam[phase]
             np.conjugate(overlap, out=overlap)
-            np.multiply(overlap, psi[r:], out=overlap)
+            np.multiply(overlap, psi[phase], out=overlap)
             grads[:, self.phase_cols] = np.matmul(
                 overlap.imag[:, :, None], self.phase_signs)[:, :, 0].swapaxes(0, 1).reshape(rows, -1)
 

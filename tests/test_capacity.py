@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qnnff.baseline import MlpSpec, mlp_param_grad_fn
-from qnnff.capacity import EffectiveDimensionReport, effective_dimension, fisher_matrix
+from qnnff.capacity import (EffectiveDimensionReport, _fisher_eigenvalues,
+                            effective_dimension, fisher_matrix)
 from qnnff.circuit import encoding_monomials
 from qnnff.errors import ArgumentError
 from qnnff.gradients import qnn_param_grad_fn
@@ -32,6 +33,28 @@ def test_fisher_symmetry_and_psd(rng):
     est = fisher_matrix(lambda th, x: grads, range(8), np.zeros(5))
     assert np.allclose(est.matrix, est.matrix.T)
     assert np.linalg.eigvalsh(est.matrix).min() >= -1e-10
+
+
+@pytest.mark.parametrize("k, d", [(1, 4), (2, 156), (5, 9), (7, 7), (12, 5)])
+def test_fisher_spectrum_from_the_smaller_side(rng, k, d):
+    # with K < d the spectrum comes from the K x K Gram matrix, padded
+    # with zeros; it is the spectrum of the d x d Fisher estimate
+    grads = rng.normal(size=(k, d))
+    grad_fn = lambda th, x: grads
+    got = np.sort(_fisher_eigenvalues(grad_fn, range(k), np.zeros(d)))
+    want = np.linalg.eigvalsh(fisher_matrix(grad_fn, range(k), np.zeros(d)).matrix)
+    assert got.shape == (d,)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_fisher_spectrum_of_a_circuit_from_the_smaller_side(rng):
+    t = get_preset("h3o").template()
+    grad_fn = qnn_param_grad_fn(t)
+    inputs = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    got = np.sort(_fisher_eigenvalues(grad_fn, inputs, theta))
+    want = np.linalg.eigvalsh(fisher_matrix(grad_fn, inputs, theta).matrix)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_effective_dimension_zero_fisher():

@@ -164,6 +164,13 @@ def test_md_rejects_a_non_finite_time_step(tmp_path, dt, capsys):
     assert "time step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", [("--v0", "inf"), ("--r0", "nan")])
+def test_md_rejects_a_non_finite_start(tmp_path, start, capsys):
+    assert run("md", "--oracle", "--preset", "lih", *start, "--steps", 2,
+               "--out", tmp_path / "traj.txt") == 2
+    assert "initial positions and velocities" in capsys.readouterr().err
+
+
 def test_md_flat_from_equilibrium(tmp_path, capsys):
     out = tmp_path / "traj.txt"
     assert run("md", "--oracle", "--preset", "lih", "--r0", 1.6,

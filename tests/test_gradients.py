@@ -189,10 +189,13 @@ def test_chunked_runs_equal_unsplit_on_wider_registers(num_qubits, monkeypatch):
 def test_chunked_runs_equal_unsplit_past_blas_threading(monkeypatch):
     # 600 rows of 4 qubits make the low window's products 1,200 rows of 16
     # when all rows run as one: past the size at which a BLAS gemm splits
-    # its work across threads and blocks it otherwise than for one row
+    # its work across threads and blocks it otherwise than for one row; on
+    # 3 qubits the 600 rows run as stages, one complex product per row
     rng = np.random.default_rng(600)
-    _assert_chunks_equal_unsplit(random_template(rng, 4, depth=2), rng,
-                                 monkeypatch, rows=600)
+    for num_qubits in (4, 3):
+        with monkeypatch.context() as patch:
+            _assert_chunks_equal_unsplit(random_template(rng, num_qubits, depth=2),
+                                         rng, patch, rows=600)
 
 
 def _assert_chunks_equal_unsplit(t, rng, monkeypatch, rows=7):
@@ -243,7 +246,8 @@ def _shift_reference(t, Y, theta):
             run(prog.param_cols, prog.input_cols) @ partials)
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30, deadline=None, database=None,
+          derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 6),
        depth=st.integers(1, 3), rows=st.integers(1, 3))
 def test_adjoint_sweep_agrees_with_shift_rule(seed, num_qubits, depth, rows):
@@ -337,7 +341,70 @@ def _mixed_template(num_qubits):
                        tuple(r for r in refs if r in used))
 
 
-@settings(max_examples=40, deadline=None, database=None)
+def _edge_stage_template(lead_phase):
+    """3 qubits, run in stages: with ``lead_phase`` a lone phase block
+    first, then a rotation layer with its phase block, a lone rotation layer
+    (the next one rotates qubit 1 again) and a last stage that ends on a
+    phase block."""
+    from qnnff.circuit import ParamRef, QnnTemplate, SymbolicGate, encoding_exprs
+
+    enc = EncodingSpec(3, "full")
+    exprs = encoding_exprs(enc)
+    refs = [ParamRef(1, ("gate", k)) for k in range(6)]
+    gates = [("multiz", (0, 1), exprs[3]), ("multiz", (2,), refs[0])] * lead_phase
+    gates += [("ry", (0,), refs[1]), ("ry", (2,), exprs[2]),
+              ("multiz", (0, 2), refs[2]),
+              ("ry", (1,), exprs[1]), ("ry", (0,), refs[3]),
+              ("ry", (1,), refs[4]), ("ry", (2,), exprs[0]),
+              ("multiz", (0, 1, 2), refs[5]), ("multiz", (1,), exprs[-1])]
+    return QnnTemplate(enc, AnsatzSpec(3, "full"), 1,
+                       tuple(SymbolicGate(*g) for g in gates),
+                       tuple(refs[not lead_phase:]))
+
+
+@pytest.mark.parametrize("lead_phase", [True, False])
+def test_stages_with_lone_ops_agree_with_the_oracles(lead_phase):
+    t = _edge_stage_template(lead_phase)
+    layers = gradients._program(t).layers
+    # (rotation gates, phase gates) per stage
+    assert [(len(cols) - len(signs), len(signs)) for _, signs, cols in layers.ops] \
+        == [(0, 2)] * lead_phase + [(2, 1), (2, 0), (2, 2)]
+    # the initial state is kept, in slot 0, only where rotations read it
+    assert layers.first_slot == (None if lead_phase else 0)
+    rng = np.random.default_rng(3)
+    Y = rng.uniform(-1.0, 1.0, size=(3, t.num_features))
+    V = rng.normal(size=Y.shape)
+    theta = rng.uniform(-np.pi, np.pi, size=t.param_count)
+    f, gp, gy = sweep(t, Y, theta, params=True, inputs=True)
+    hess = mixed_hessian_batch(t, Y, theta)
+    for got, want in zip((f, gp, gy, hess), _shift_reference(t, Y, theta)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(hvp_params_batch(t, Y, theta, V)
+                         - np.einsum("bpj,bj->bp", hess, V))) < 1e-12
+    for y, value in zip(Y, f):
+        state = circuit_matrix(3, bind(t, y, theta))[:, 0]
+        dense = np.sum(np.abs(state[::2]) ** 2) - np.sum(np.abs(state[1::2]) ** 2)
+        assert abs(value - dense) < 1e-12
+
+
+def test_lih_forward_pass_runs_one_kernel_call_per_stage(monkeypatch):
+    # 10 re-uploading blocks of a rotation layer and a phase block each,
+    # plus the first trainable rotation layer, are 21 stages on 3 qubits
+    from qnnff import statevec
+    from qnnff.presets import get_preset
+
+    t = get_preset("lih").template()
+    y, theta = draw_point(np.random.default_rng(0), t)
+    kinds = []
+    apply = statevec._apply_kind
+    monkeypatch.setattr(statevec, "_apply_kind",
+                        lambda *args: kinds.append(args[2]) or apply(*args))
+    eval_qnn(t, y, theta)
+    assert kinds == ["stage"] * 21
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 7),
        length=st.integers(4, 24), rows=st.integers(2, 4),
        mixed=st.booleans())
@@ -363,30 +430,36 @@ def test_hvp_rejects_directions_of_another_shape(rng):
 
 
 def test_row_bytes_bound_the_memory_of_a_call(monkeypatch):
-    # h3o's mixed Hessian keeps a state after each of 25 layers and builds a
-    # table per row for every encoding layer; with the chunk budget at
-    # 4 MiB, 600 rows run in chunks, and the traced peak of the call, with
-    # its unchunked output, stays within the budget
-    t, rng = _h3o_template()
-    Y = rng.uniform(-1.0, 1.0, size=(2, t.num_features))
-    _assert_peak_within_budget(lambda th: mixed_hessian_batch(t, Y, th), t, rng,
-                               monkeypatch)
+    # h3o's mixed Hessian keeps the states its gates read and builds a table
+    # per row for every encoding layer, h2o's a complex stage table per row
+    # for every encoding stage; with the chunk budget at 4 MiB, the shifted
+    # rows run in chunks, and the traced peak of the call, with its
+    # unchunked output, stays within the budget
+    for t, rng, samples in _templates((2, 8)):
+        Y = rng.uniform(-1.0, 1.0, size=(samples, t.num_features))
+        with monkeypatch.context() as patch:
+            _assert_peak_within_budget(lambda th: mixed_hessian_batch(t, Y, th),
+                                       t, rng, patch)
 
 
 def test_row_bytes_bound_the_memory_of_a_tangent_sweep(monkeypatch):
     # a tangent-augmented row also keeps the derivative of every state and of
-    # lam, and the derivatives of its tables: 100 rows run in chunks
-    t, rng = _h3o_template()
-    Y = rng.uniform(-1.0, 1.0, size=(100, t.num_features))
-    V = rng.normal(size=Y.shape)
-    _assert_peak_within_budget(lambda th: hvp_params_batch(t, Y, th, V), t, rng,
-                               monkeypatch)
+    # lam, and the derivatives of its tables: the rows run in chunks
+    for t, rng, samples in _templates((100, 300)):
+        Y = rng.uniform(-1.0, 1.0, size=(samples, t.num_features))
+        V = rng.normal(size=Y.shape)
+        with monkeypatch.context() as patch:
+            _assert_peak_within_budget(lambda th: hvp_params_batch(t, Y, th, V),
+                                       t, rng, patch)
 
 
-def _h3o_template():
+def _templates(samples):
+    """The h3o template (6 qubits, blocks) and the h2o one (3 qubits,
+    stages), each with a generator and its number of samples."""
     from qnnff.presets import get_preset
 
-    return get_preset("h3o").template(), np.random.default_rng(0)
+    return [(get_preset(name).template(), np.random.default_rng(0), count)
+            for name, count in zip(("h3o", "h2o"), samples)]
 
 
 def _assert_peak_within_budget(fn, t, rng, monkeypatch, budget=4 << 20):

@@ -157,7 +157,7 @@ def _sweep_rows(layers, tables, angles, direction=None):
     amps[:, 0] = 1.0
     if direction is not None:
         amps = np.concatenate((amps, np.zeros_like(amps)))
-    states = np.empty((2, len(layers.ops)) + amps.shape, dtype=complex)
+    states = np.empty((2, layers.kept) + amps.shape, dtype=complex)
     final = layers.forward(amps, forward, states[0], dforward)
     grads = np.zeros((len(amps), angles.shape[1] + 2))
     layers.backward(states[0], states[1], statevec._zstring_signs(n, (0,)),
