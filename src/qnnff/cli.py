@@ -174,6 +174,9 @@ def cmd_gen(args) -> None:
     preset = get_preset(args.preset)
     if args.preset == "lih":
         dataset = preset.generate(args.count, seed=args.seed, mirror=args.mirror)
+    elif args.mirror:
+        raise ArgumentError(f"--mirror reflects a diatomic grid; {args.preset} "
+                            "is not diatomic")
     else:
         dataset = preset.generate(args.count, seed=args.seed)
     out = _out_prefix(args, f"{args.preset}_data.txt")
@@ -224,12 +227,16 @@ def cmd_train(args) -> None:
 
 
 def _train_mlp(preset, args, train_set, validation, chi, config):
-    """Budget-matched tanh network on the encoded monomials, energy loss."""
+    """Budget-matched tanh network on the encoded monomials, energy loss,
+    trained with ADAM."""
     if chi:
         raise ArgumentError(
             "force-weighted training is only wired for the circuit family; "
             "pass --chi 0 with --model mlp"
         )
+    if args.optimizer == "cobyla":
+        raise ArgumentError("--model mlp trains with adam only; drop "
+                            "--optimizer cobyla")
     qff = _build_qnn(preset, args, train_set)
     enc = preset.encoding_spec(args.entanglement, args.degree)
     inputs = encoding_monomials(enc, qff.feature_matrix(train_set.cartesians()))

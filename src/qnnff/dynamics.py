@@ -173,11 +173,11 @@ def dominant_frequency(freqs: np.ndarray, magnitudes: np.ndarray) -> float:
 
 
 def qnn_model_spectrum(template, theta, feature_index: int = 0,
-                       grid_points: int = 64, base_features=None):
+                       grid_points: int = 64):
     """Fourier coefficient magnitudes of the model output along one feature.
 
     Samples the circuit output on a uniform grid over one 2 pi period with
-    the other features held fixed and returns (n, |c_n|) for integer
+    the other features held at 0 and returns (n, |c_n|) for integer
     frequencies n = 0 .. grid_points // 2.  Meaningful when the model is
     univariate in the swept feature.
     """
@@ -189,11 +189,8 @@ def qnn_model_spectrum(template, theta, feature_index: int = 0,
         raise ArgumentError(
             f"feature index {feature_index} out of range for "
             f"{template.num_features} features")
-    base = (np.zeros(template.num_features) if base_features is None
-            else np.asarray(base_features, dtype=float).copy())
-    grid = 2 * np.pi * np.arange(grid_points) / grid_points
-    feats = np.tile(base, (grid_points, 1))
-    feats[:, feature_index] = grid
+    feats = np.zeros((grid_points, template.num_features))
+    feats[:, feature_index] = 2 * np.pi * np.arange(grid_points) / grid_points
     values = eval_qnn_batch(template, feats, theta)
     coeffs = np.fft.rfft(values) / grid_points
     freqs = np.arange(coeffs.size)

@@ -5,16 +5,17 @@ Every parameterized gate here is generated by a Pauli string P:
 ``ry(t) = exp(-i t sigma_y / 2)`` and ``multiz(t) = exp(-i t P)``.
 
 *Adjoint mode* (Jones & Gacon, arXiv:2009.02823) runs one forward pass to
-the final state psi, keeping the states that gradients are read at, sets
-lam = Z_0 psi, and un-applies the ops last to first to lam; at each gate
-d<Z_0>/d(angle) = 2 Im <lam|G|psi> with G its generator.  Both states are
-taken before the gate's op for a rotation and after it for a phase gate:
-an ``ry`` generator commutes with its whole rotation layer and a Z-string
-with its whole phase block, so no op needs to be split.  One sweep per sample thus gives the output, every
-parameter derivative and every encoding-occurrence derivative, which the
-product-expression chain factors turn into d f / d y.  ``sweep``,
-``grad_params_batch``, ``grad_inputs_batch`` and the models' energies and
-forces run on it.
+the final state psi, keeping the state after every op, sets lam = Z_0 psi,
+and un-applies the ops last to first to lam; at each gate
+d<Z_0>/d(angle) = 2 Im <lam|G|psi> with G its generator.  An op is a
+rotation layer and the phase block after it, and both states are taken
+before the op for a rotation and after it for a phase gate: an ``ry``
+generator commutes with its whole rotation layer and a Z-string with its
+whole phase block, so no op needs to be split.  One sweep per sample thus
+gives the output, every parameter derivative and every encoding-occurrence
+derivative, which the product-expression chain factors turn into d f / d y.
+``sweep``, ``grad_params_batch``, ``grad_inputs_batch`` and the models'
+energies and forces run on it.
 
 *Second-order adjoint mode* (Griewank & Walther, *Evaluating Derivatives*,
 ch. 5): ``hvp_params_batch`` gives the mixed Hessian d^2 f / d theta d y
@@ -45,12 +46,12 @@ the simulator did (4dm circuits per sample for a Hessian-vector product as
 for the mixed Hessian), and counts the simulated rows apart.
 
 One engine runs every circuit: ``_Program`` lowers a template to ops
-(``statevec.Layers``: on up to 3 qubits stages, each a rotation layer and
-the phase block after it as one complex matrix; on wider registers rotation
-layers of blocks and diagonal phase blocks) plus the sources of its angle
-table, and ``_run`` forms the angles of each chunk (the shared angle row,
-and a per-row table with one shifted column per level of the shift rule)
-and runs them through the ``statevec`` op loop under one memory budget.
+(``statevec.Layers``: each a rotation layer and the phase block after it,
+one complex matrix on up to 3 qubits, rotation blocks and a diagonal phase
+block on wider registers) plus the sources of its angle table, and
+``_run`` forms the angles of each chunk (the shared angle row, and a
+per-row table with one shifted column per level of the shift rule) and runs
+them through the ``statevec`` op loop under one memory budget.
 ``_Layout`` says which ops share one table across rows (the trainable ones,
 and the D repeats of an encoding op) and which take one per row (encoding
 ops, and any op holding a shifted gate).
@@ -172,7 +173,7 @@ class _Program:
             self._layouts[key] = _Layout(self, levels)
         return self._layouts[key]
 
-    def angles(self, values: np.ndarray, theta: np.ndarray, idx=None,
+    def angles(self, values: np.ndarray, theta: np.ndarray, idx,
                levels=(), directions=None) -> tuple:
         """Angles of a block of rows: ``(layout, base, table, tangent)``,
         with the angle row (1, G) of the ops every row shares and the
@@ -183,11 +184,10 @@ class _Program:
 
         ``idx`` gives each row's sample and, per level, its shifted column
         position and sign (0 for +, 1 for -), as ``np.unravel_index`` returns
-        them over the shape (samples, len(level_1), 2, len(level_2), 2, ...);
-        by default the rows are the samples, unshifted.
+        them over the shape (samples, len(level_1), 2, len(level_2), 2, ...).
         """
         layout = self.layout(levels)
-        sample = np.arange(values.shape[0]) if idx is None else idx[0]
+        sample = idx[0]
         base = self.base_angles(theta)
         table = np.empty((sample.size, len(layout.row_gates)))
         table[:] = base[layout.row_gates]

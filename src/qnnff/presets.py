@@ -52,7 +52,6 @@ class MoleculePreset:
     coords: tuple
     features: tuple[tuple[int, str], ...]
     entanglement: str
-    degree_size: int  # 0 disables degree sets
     depth: int
     chi: float
     optimizer: str
@@ -68,11 +67,7 @@ class MoleculePreset:
         return np.array([ATOMIC_MASS[e] for e in self.elements])
 
     def degree_sets(self, degree: int = 3):
-        if degree < 3 or self.degree_size == 0:
-            return ()
-        if self.num_features == 3:
-            return ((0, 1, 2),)
-        return sliding_degree_sets(self.num_features, self.degree_size)
+        return sliding_degree_sets(self.num_features) if degree >= 3 else ()
 
     def encoding_spec(self, entanglement=None, degree: int = 3) -> EncodingSpec:
         return EncodingSpec(self.num_features, entanglement or self.entanglement,
@@ -162,7 +157,6 @@ PRESETS = {
         coords=(Bond(0, 1),),
         features=((0, "pi_scale"), (0, "arcsin"), (0, "arccos")),
         entanglement="full",
-        degree_size=3,
         depth=10,
         chi=0.0,
         optimizer="adam",
@@ -175,7 +169,6 @@ PRESETS = {
         coords=(Bond(0, 1), Bond(0, 2), Angle(1, 0, 2)),
         features=((0, "arcsin"), (1, "arcsin"), (2, "arcsin")),
         entanglement="full",
-        degree_size=3,
         depth=12,
         chi=1.0,
         optimizer="cobyla",
@@ -189,7 +182,6 @@ PRESETS = {
                 Angle(1, 0, 2), Angle(1, 0, 3), Dihedral(0, 3, 2, 1)),
         features=tuple((i, "arcsin") for i in range(6)),
         entanglement="linear",
-        degree_size=3,
         depth=10,
         chi=0.0,
         optimizer="adam",

@@ -8,25 +8,25 @@ Conventions (fixed for reproducibility, checked by the test suite):
 * ``multiz(phi)`` on qubits ``(j1 .. jk)`` is ``exp(-i phi Z_{j1} ... Z_{jk})``
   with a *full* angle (no 1/2 factor).
 
-Circuits run as ops (``Layers``), one kernel call (``_apply_kind``) per
-stage or block rather than per gate.  A run of ``ry`` on distinct qubits (a
-rotation layer) is a Kronecker product of real blocks K on windows of at
-most ``BLOCK_QUBITS`` = 3 neighbouring qubits, and a run of ``multiz`` (a
-phase block) is one phase vector p.  A register of up to 3 qubits is one
-window, and there each rotation layer and the phase block after it run as
-one stage: one stacked complex matmul by T = diag(p) K.  A wider register
-runs one real matmul per block and one product per phase block.  ``Tables``
-builds every table of a call in one vectorised pass per kind, with a row
-axis of length 1 where all rows share it.  ``Layers.backward`` is the
-adjoint sweep: it keeps the states that gradients are read at, un-applies
-each op to lam, and contracts once per qubit for the rotations and once for
-the phase blocks.  A rotation gate's gradient is read at the state before
-its op and a phase gate's at the state after it, where the rest of the op
-commutes with the gate's generator.  Given the tables' derivatives along a
-direction of the angles (``Tables.build`` with a tangent), the same two
-loops carry the derivatives of psi and lam: each state runs stacked with its
-derivative as one block of rows, and a step adds U' psi (or U'^dag lam) to
-the derivative half.
+Circuits run as ops (``Layers``): each op is a rotation layer (a run of
+``ry`` on distinct qubits) and the phase block (a run of ``multiz``) after
+it, either part possibly empty, on every register.  Only its kernel calls
+(``_apply_kind``) depend on the register.  A rotation layer is a Kronecker
+product of real blocks K on windows of at most ``BLOCK_QUBITS`` = 3
+neighbouring qubits, and a phase block is one phase vector p.  A register of
+up to 3 qubits is one window, and there an op runs as one stage: one stacked
+complex matmul by T = diag(p) K.  A wider register runs one real matmul per
+block and one product per phase block.  ``Tables`` builds every table of a
+call in one vectorised pass per kind, with a row axis of length 1 where all
+rows share it.  ``Layers.backward`` is the adjoint sweep: it keeps every
+state, un-applies each op to lam, and contracts once per qubit for the
+rotations and once for the phase blocks.  Op i's rotation gradients are read
+at state i, before it, and its phase gradients at state i + 1, after it,
+where the rest of the op commutes with the gate's generator.  Given the
+tables' derivatives along a direction of the angles (``Tables.build`` with a
+tangent), the same two loops carry the derivatives of psi and lam: each
+state runs stacked with its derivative as one block of rows, and a step adds
+U' psi (or U'^dag lam) to the derivative half.
 
 All public operations are value-semantic: they return a new ``StateVector``
 and never mutate their inputs, so independent circuits can safely be
@@ -114,17 +114,16 @@ def init_zero(num_qubits: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Ops.  A circuit runs as a list of ops (``lower_ops``) built from its runs of
-# consecutive ``ry`` on distinct qubits (rotation layers) and of consecutive
-# ``multiz`` (phase blocks: diagonal, commuting).  An op acts through
-# tables, one per kernel call (``_steps``).  A rotation layer is a Kronecker
-# product of real blocks K, one per window of at most BLOCK_QUBITS
-# neighbouring qubits (``_windows``), each one stacked matmul; a phase block
-# is the phase vector p = exp(-i A S) of its angles A and sign table S.  A
-# register that one window covers runs in stages instead: a rotation layer
-# and the phase block after it are one op with the complex table
-# T = diag(p) K, one stacked matmul.  Tables carry a leading row axis, of
-# length 1 when every row shares them.
+# Ops.  A circuit runs as a list of ops (``lower_ops``), each a run of
+# consecutive ``ry`` on distinct qubits (a rotation layer) and the run of
+# consecutive ``multiz`` after it (a phase block: diagonal, commuting).  An
+# op acts through tables, one per kernel call (``_steps``).  A rotation layer
+# is a Kronecker product of real blocks K, one per window of at most
+# BLOCK_QUBITS neighbouring qubits (``_windows``), each one stacked matmul; a
+# phase block is the phase vector p = exp(-i A S) of its angles A and sign
+# table S.  A register that one window covers runs each op as one stage
+# instead, with the complex table T = diag(p) K, one stacked matmul.  Tables
+# carry a leading row axis, of length 1 when every row shares them.
 
 BLOCK_QUBITS = 3
 
@@ -206,27 +205,24 @@ def _expectation_z_raw(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndar
 
 def lower_ops(num_qubits: int, kinds, qubits) -> list:
     """Group a gate list into ops ``(blocks, signs, cols)`` over the gate
-    columns ``cols``, its rotations first.  ``blocks`` holds ``(window,
-    slot)`` for each window that the op rotates, ``slot[t]`` the position in
-    ``cols`` of the gate on the window's t-th qubit from the top or -1, and
-    ``signs`` the sign table (len(signs), 2**n) of its phase gates, the last
-    len(signs) of ``cols``.  On a register of at most BLOCK_QUBITS qubits an
-    op is a stage: a rotation layer and the phase block after it, either of
-    them possibly empty, with the register's one window in ``blocks``.  On a
-    wider one an op is a rotation layer or a phase block."""
-    stages = num_qubits <= BLOCK_QUBITS
+    columns ``cols``: a rotation layer and the phase block after it, either
+    of them possibly empty, its rotations first.  ``blocks`` holds
+    ``(window, slot)`` for each window that the op rotates, or for the
+    register's one window on a register of at most BLOCK_QUBITS qubits,
+    ``slot[t]`` the position in ``cols`` of the gate on the window's t-th
+    qubit from the top or -1, and ``signs`` the sign table (len(signs), 2**n)
+    of its phase gates, the last len(signs) of ``cols``."""
     groups = []   # (rotation gates, phase gates) per op
     for g, kind in enumerate(kinds):
         last = groups[-1] if groups else None
-        if kind == "ry":
-            join = last is not None and not last[1] and all(
-                qubits[h][0] != qubits[g][0] for h in last[0])
-        else:
-            join = last is not None and bool(last[1] or stages)
-        if join:
+        # a phase gate joins any op, a rotation one with no phase gate yet
+        # and no rotation on its qubit
+        if last is not None and (kind != "ry" or not last[1] and all(
+                qubits[h][0] != qubits[g][0] for h in last[0])):
             last[kind != "ry"].append(g)
         else:
             groups.append(([g], []) if kind == "ry" else ([], [g]))
+    stages = num_qubits <= BLOCK_QUBITS
     ops = []
     for rot, phase in groups:
         where = {qubits[g][0]: k for k, g in enumerate(rot)}
@@ -242,12 +238,13 @@ def lower_ops(num_qubits: int, kinds, qubits) -> list:
 def _steps(num_qubits: int, ops) -> list:
     """The kernel calls of ``ops`` in order, ``(kind, window, op)``: one
     ``"stage"`` per op on a register of at most BLOCK_QUBITS qubits;
-    otherwise one ``"ry"`` per rotation block and one ``"multiz"``, window
-    None, per phase block."""
+    otherwise one ``"ry"`` per rotation block and then, if the op has phase
+    gates, one ``"multiz"``, window None."""
     if num_qubits <= BLOCK_QUBITS:
         return [("stage", blocks[0][0], i) for i, (blocks, _, _) in enumerate(ops)]
-    return [step for i, (blocks, _, _) in enumerate(ops)
-            for step in ([("ry", w, i) for w, _ in blocks] or [("multiz", None, i)])]
+    return [step for i, (blocks, signs, _) in enumerate(ops)
+            for step in [("ry", w, i) for w, _ in blocks]
+            + [("multiz", None, i)] * bool(len(signs))]
 
 
 def _padded_phases(num_qubits: int, ops):
@@ -274,8 +271,9 @@ class Tables:
         self.stages = num_qubits <= BLOCK_QUBITS
         self.kinds = [kind for kind, _, _ in steps]
         self.of_op = [[] for _ in ops]   # the steps of each op
-        self.rotations = []   # (size, gate column per slot, filled slots,
-        #                        blocks, positions of the low-window blocks)
+        self.rotations = []   # (size, gate column per slot, half-angle
+        #                        factor per slot, blocks, positions of the
+        #                        low-window blocks)
         by_size = {}
         for s, (kind, window, i) in enumerate(steps):
             self.of_op[i].append(s)
@@ -288,11 +286,10 @@ class Tables:
                 where.append(s)
         order = []
         for size, (gates, where, low) in sorted(by_size.items()):
+            # an empty slot reads column 0 at factor 0: an identity 2x2
             gates = np.concatenate(gates)
-            filled = gates >= 0
-            self.rotations.append((size, gates[filled],
-                                   None if filled.all() else filled, len(where),
-                                   np.flatnonzero(low)))
+            self.rotations.append((size, np.maximum(gates, 0), 0.5 * (gates >= 0),
+                                   len(where), np.flatnonzero(low)))
             order += where
         phased = [s for s, kind in enumerate(self.kinds) if kind != "ry"]
         if not self.stages:
@@ -305,8 +302,8 @@ class Tables:
     def row_bytes(self) -> int:
         """Bytes the tables of one row take while they are built and used."""
         size = 0
-        for k, gates, filled, blocks, low in self.rotations:
-            size += 80 * (len(gates) if filled is None else len(filled))
+        for k, gates, _, blocks, low in self.rotations:
+            size += 80 * len(gates)
             size += blocks * ((56 if self.stages else 24) << 2 * k)
             size += len(low) * (96 << 2 * k)
         return (size + 8 * self.phase_cols.size
@@ -367,11 +364,11 @@ class Tables:
 
 
 def _rotation_blocks(angles: np.ndarray, tangent, k: int, gates: np.ndarray,
-                     filled, count: int):
+                     factor: np.ndarray, count: int):
     """The real blocks K (rows, count, 2**k, 2**k) of a window size's
     rotation steps and, with ``tangent``, their derivatives along it, else
-    None."""
-    half = _slot_values(angles, gates, filled) * 0.5
+    None; slot j rotates by ``factor[j]`` times angle column ``gates[j]``."""
+    half = angles[:, gates] * factor
     trig = np.empty(half.shape + (2,))
     np.cos(half, out=trig[..., 0])
     np.sin(half, out=trig[..., 1])
@@ -379,7 +376,7 @@ def _rotation_blocks(angles: np.ndarray, tangent, k: int, gates: np.ndarray,
     blocks, dblocks = mats[:, :, 0], None
     if tangent is not None:
         # dR(a)/da = R(a + pi) / 2: (cos, sin) -> (-sin, cos) / 2
-        rate = _slot_values(tangent, gates, filled) * 0.5
+        rate = tangent[:, gates] * factor
         dmats = _rotation_mats(np.stack((-trig[..., 1] * rate,
                                          trig[..., 0] * rate), axis=-1), count, k)
         dblocks = dmats[:, :, 0]
@@ -401,17 +398,6 @@ def _stage_tables(blocks: list, phase, dphase) -> tuple:
     dtables = [] if dphase is None else list(
         (dmats.swapaxes(-1, -2) * phase + mats * dphase[:, :, None]).swapaxes(0, 1))
     return list((mats * phase).swapaxes(0, 1)), dtables
-
-
-def _slot_values(angles: np.ndarray, gates: np.ndarray, filled) -> np.ndarray:
-    """The angles of a window size's rotation slots, (rows, slots), 0 in an
-    empty slot."""
-    values = angles[:, gates]
-    if filled is None:
-        return values
-    out = np.zeros((len(angles), len(filled)))
-    out[:, filled] = values
-    return out
 
 
 def _rotation_mats(trig: np.ndarray, count: int, k: int) -> np.ndarray:
@@ -443,55 +429,37 @@ def _block_tables(blocks: np.ndarray, low: np.ndarray, k: int) -> list:
 
 class Layers:
     """A gate list lowered to ops, with the gate loop and the adjoint sweep
-    over them.  State t is the state after t ops, state 0 the initial one.
-    The gradient of op i's rotation gates is read at the state before it
-    (state i) and that of its phase gates at the state after it (state
-    i + 1): an ``ry`` generator commutes with its whole rotation layer and a
-    Z-string with its whole phase block.  An adjoint run keeps each state
-    that some gate reads, and the final state, in one (kept, rows, 2**n)
-    array, in slots that put the states read by rotations first and those
-    read by phases after them, so each set is one contiguous slice."""
+    over them.  State t is the state after t ops, state 0 the initial one,
+    and an adjoint run keeps every one of them in a (kept, rows, 2**n)
+    array.  The gradient of op i's rotation gates is read at the state
+    before it (state i) and that of its phase gates at the state after it
+    (state i + 1): an ``ry`` generator commutes with its whole rotation
+    layer and a Z-string with its whole phase block."""
 
     def __init__(self, num_qubits: int, kinds, qubits):
         self.num_qubits = num_qubits
         self.ops = ops = lower_ops(num_qubits, kinds, qubits)
-        rot = [i for i, (_, signs, cols) in enumerate(ops) if len(cols) > len(signs)]
-        phase = [i + 1 for i, (_, signs, _) in enumerate(ops) if len(signs)]
-        both = set(rot).intersection(phase)
-        kept = ([t for t in rot if t not in both] + [t for t in rot if t in both]
-                + [t for t in phase if t not in both])
-        if len(ops) not in kept:
-            kept.append(len(ops))
-        slot = {t: s for s, t in enumerate(kept)}
-        self.kept = len(kept)
-        self.first_slot, self.final_slot = slot.get(0), slot[len(ops)]
-        self.rotation_states = slice(0, len(rot))
-        self.phase_states = slice(len(rot) - len(both), len(rot) - len(both)
-                                  + len(phase))
+        self.kept = len(ops) + 1
         steps = _steps(num_qubits, ops)
         last = {i: s for s, (_, _, i) in enumerate(steps)}
         first = {i: s for s, (_, _, i) in reversed(list(enumerate(steps)))}
-        # (kind, window, state slot written after the step or None)
-        self.steps = [(kind, window, slot.get(i + 1) if last[i] == s else None)
+        # (kind, window, state written after the step or None)
+        self.steps = [(kind, window, i + 1 if last[i] == s else None)
                       for s, (kind, window, i) in enumerate(steps)]
         # un-apply ops last to first, from lam after the last down to the
-        # earliest kept state: (kind, window, step, slot written or None)
-        earliest = min(kept)
-        self.back_steps = [(kind, window, s, slot.get(i) if first[i] == s else None)
-                           for s, (kind, window, i) in reversed(list(enumerate(steps)))
-                           if i >= earliest]
+        # initial state: (kind, window, step, state written or None)
+        self.back_steps = [(kind, window, s, i if first[i] == s else None)
+                           for s, (kind, window, i) in reversed(list(enumerate(steps)))]
         self.no_tangents = [None] * len(steps)
         spare = len(kinds)   # the gradient column that takes padding
-        # per qubit, the gate rotating it in the op that reads each state
-        on_qubit = np.full((num_qubits, len(rot)), spare)
-        for layer, t in enumerate(kept[:len(rot)]):
-            _, signs, cols = ops[t]
+        # per qubit, the gate rotating it in each op
+        on_qubit = np.full((num_qubits, len(ops)), spare)
+        for i, (_, signs, cols) in enumerate(ops):
             for g in cols[:len(cols) - len(signs)]:
-                on_qubit[qubits[g][0], layer] = g
+                on_qubit[qubits[g][0], i] = g
         self.rotation_cols = [(q, cols) for q, cols in enumerate(on_qubit)
                               if np.any(cols < spare)]
-        cols, signs = _padded_phases(num_qubits, [
-            ops[t - 1] for t in kept[self.phase_states]])
+        cols, signs = _padded_phases(num_qubits, ops)
         self.phase_cols = np.where(cols < 0, spare, cols).ravel()
         # 2 S^T, one (2**n, w) matrix per block
         self.phase_signs = np.ascontiguousarray(2.0 * signs.swapaxes(1, 2))[:, None]
@@ -500,17 +468,16 @@ class Layers:
                 tangents=None) -> np.ndarray:
         """Apply every op to amplitudes (rows, 2**n), step s through
         ``tables[s]``; the initial state and the state after each op go to
-        their slots of ``states`` when that is given and they are kept.
-        With ``tangents``, the rows are R states over their derivatives
-        along a direction of the angles, and ``tangents[s]``, the derivative
-        U' of ``tables[s]`` (None where it is 0), adds U' psi to them:
-        psi' <- U psi' + U' psi."""
+        ``states`` when that is given.  With ``tangents``, the rows are R
+        states over their derivatives along a direction of the angles, and
+        ``tangents[s]``, the derivative U' of ``tables[s]`` (None where it
+        is 0), adds U' psi to them: psi' <- U psi' + U' psi."""
         n, half = self.num_qubits, len(amps) // 2
-        if states is not None and self.first_slot is not None:
-            states[self.first_slot] = amps
-        for (kind, window, slot), table, tangent in zip(self.steps, tables,
-                                                        tangents or self.no_tangents):
-            out = None if states is None or slot is None else states[slot]
+        if states is not None:
+            states[0] = amps
+        for (kind, window, t), table, tangent in zip(self.steps, tables,
+                                                     tangents or self.no_tangents):
+            out = None if states is None or t is None else states[t]
             moved = _apply_kind(amps, n, kind, window, table, out)
             if tangent is not None:
                 moved[half:] += _apply_kind(amps[:half], n, kind, window, tangent)
@@ -521,24 +488,24 @@ class Layers:
                  back, grads: np.ndarray, tangents=None) -> None:
         """Adjoint sweep over the states ``psi`` that ``forward`` kept: set
         lam = O psi after the last op, un-apply the ops last to first into
-        ``lam`` (step s through ``back[s]``) down to the earliest kept
-        state, and write d<O>/d(angle of gate g) = 2 Im <lam|G_g|psi> into
+        ``lam`` (step s through ``back[s]``) down to the initial state, and
+        write d<O>/d(angle of gate g) = 2 Im <lam|G_g|psi> into
         ``grads[:, g]`` (``_contract``).  With ``tangents`` (``tangents[s]``
         the derivative of ``back[s]``), ``psi`` holds states over
         derivatives, and lam' = O psi', lam' <- U^dag lam' + U'^dag lam runs
         stacked over lam, so that ``grads`` takes 2 Im <lam'|G_g|psi> in its
         first half and 2 Im <lam|G_g|psi'> in its second: their sum is the
         derivative along the direction."""
-        n, final, half = self.num_qubits, self.final_slot, psi.shape[1] // 2
-        amps = lam[final]
+        n, half = self.num_qubits, psi.shape[1] // 2
+        amps = lam[-1]
         if tangents is None:
-            np.multiply(psi[final], observable, out=amps)
+            np.multiply(psi[-1], observable, out=amps)
         else:
-            np.multiply(psi[final, half:], observable, out=amps[:half])
-            np.multiply(psi[final, :half], observable, out=amps[half:])
+            np.multiply(psi[-1, half:], observable, out=amps[:half])
+            np.multiply(psi[-1, :half], observable, out=amps[half:])
         tangents = tangents or self.no_tangents
-        for kind, window, s, dst in self.back_steps:
-            out = None if dst is None else lam[dst]
+        for kind, window, s, t in self.back_steps:
+            out = None if t is None else lam[t]
             moved = _apply_kind(amps, n, kind, window, back[s], out)
             if tangents[s] is not None:
                 moved[:half] += _apply_kind(amps[half:], n, kind, window, tangents[s])
@@ -548,20 +515,20 @@ class Layers:
     def _contract(self, psi: np.ndarray, lam: np.ndarray, grads: np.ndarray) -> None:
         """Write 2 Im <lam|G_g|psi> into ``grads[:, g]`` for every gate g,
         G_g being the gate's generator and column len(kinds) taking padding.
-        One contraction per qubit gives its rotations in every op (lam
-        against psi with that qubit flipped, signed by its bit), one all
-        phase blocks.  Overwrites the slots of ``lam`` that phases read."""
-        n, rows = self.num_qubits, psi.shape[1]
-        rot, phase = self.rotation_states, self.phase_states
+        One contraction per qubit gives its rotations in every op, at
+        states 0 .. L - 1 (lam against psi with that qubit flipped, signed
+        by its bit), one all phase blocks, at states 1 .. L.  Overwrites
+        states 1 .. L of ``lam``."""
+        n, rows, ops = self.num_qubits, psi.shape[1], len(self.ops)
         for q, cols in self.rotation_cols:
-            shape = (rot.stop, rows, 1 << (n - 1 - q), 2, 2 << q)
+            shape = (ops, rows, 1 << (n - 1 - q), 2, 2 << q)
             grads[:, cols] = np.einsum(
-                "lrhik,lrhik,i->rl", lam[rot].view(float).reshape(shape),
-                psi[rot].view(float).reshape(shape)[:, :, :, ::-1], _FLIP_SIGN)
-        if phase.stop > phase.start:   # one vector-matrix product per block and row
-            overlap = lam[phase]
+                "lrhik,lrhik,i->rl", lam[:ops].view(float).reshape(shape),
+                psi[:ops].view(float).reshape(shape)[:, :, :, ::-1], _FLIP_SIGN)
+        if self.phase_signs.shape[-1]:   # one vector-matrix product per block and row
+            overlap = lam[1:]
             np.conjugate(overlap, out=overlap)
-            np.multiply(overlap, psi[phase], out=overlap)
+            np.multiply(overlap, psi[1:], out=overlap)
             grads[:, self.phase_cols] = np.matmul(
                 overlap.imag[:, :, None], self.phase_signs)[:, :, 0].swapaxes(0, 1).reshape(rows, -1)
 

@@ -53,6 +53,15 @@ def test_gen_h3o(tmp_path):
 
 
 @pytest.mark.parametrize("preset", ["h2o", "h3o"])
+def test_gen_rejects_mirror_on_a_polyatomic_preset(tmp_path, preset, capsys):
+    path = tmp_path / "x.txt"
+    assert run("gen", "--preset", preset, "--count", 6, "--mirror",
+               "--out", path) == 2
+    assert "not diatomic" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("preset", ["h2o", "h3o"])
 @pytest.mark.parametrize("count", [0, -3])
 def test_gen_rejects_a_count_below_one(tmp_path, preset, count, capsys):
     assert run("gen", "--preset", preset, "--count", count,
@@ -85,6 +94,31 @@ def test_train_mlp_budget_matched(lih_file, tmp_path, capsys):
     ff = load_checkpoint(out)
     # depth-2 circuit budget: 3 + 2*7 = 17
     assert abs(ff.param_count - 17) <= 2
+
+
+@pytest.fixture(scope="module")
+def h2o_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "h2o.txt"
+    assert run("gen", "--preset", "h2o", "--count", 12, "--out", path) == 0
+    return path
+
+
+def test_train_mlp_rejects_cobyla(h2o_file, tmp_path, capsys):
+    out = tmp_path / "mlp.json"
+    assert run("train", "--data", h2o_file, "--checkpoint", out,
+               "--model", "mlp", "--optimizer", "cobyla", "--chi", 0,
+               "--steps", 5) == 2
+    assert "adam only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_mlp_uses_adam_under_a_cobyla_preset(h2o_file, tmp_path):
+    # the h2o preset trains its circuit with cobyla; an MLP still takes adam
+    out = tmp_path / "mlp.json"
+    assert run("train", "--data", h2o_file, "--checkpoint", out,
+               "--model", "mlp", "--depth", 1, "--steps", 5, "--chi", 0) == 0
+    report = (tmp_path / "mlp.json.report.txt").read_text()
+    assert report.splitlines()[0] == "optimizer = adam"
 
 
 def test_eval_perfect_checkpoint(tmp_path, tiny_checkpoint, capsys):

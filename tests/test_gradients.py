@@ -369,8 +369,8 @@ def test_stages_with_lone_ops_agree_with_the_oracles(lead_phase):
     # (rotation gates, phase gates) per stage
     assert [(len(cols) - len(signs), len(signs)) for _, signs, cols in layers.ops] \
         == [(0, 2)] * lead_phase + [(2, 1), (2, 0), (2, 2)]
-    # the initial state is kept, in slot 0, only where rotations read it
-    assert layers.first_slot == (None if lead_phase else 0)
+    # every state is kept, the initial one too
+    assert layers.kept == len(layers.ops) + 1
     rng = np.random.default_rng(3)
     Y = rng.uniform(-1.0, 1.0, size=(3, t.num_features))
     V = rng.normal(size=Y.shape)
@@ -401,6 +401,34 @@ def test_lih_forward_pass_runs_one_kernel_call_per_stage(monkeypatch):
                         lambda *args: kinds.append(args[2]) or apply(*args))
     eval_qnn(t, y, theta)
     assert kinds == ["stage"] * 21
+
+
+@pytest.mark.parametrize("name", ["lih", "h2o", "h3o"])
+def test_preset_ops_states_and_kernel_calls(name, monkeypatch):
+    # one op per rotation layer and its phase block, every state kept; the
+    # kernel calls of a one-row forward, adjoint and tangent pass
+    from qnnff import statevec
+    from qnnff.presets import get_preset
+
+    ops, calls = {"lih": (21, (21, 42, 62)), "h2o": (25, (25, 50, 74)),
+                  "h3o": (21, (62, 124, 184))}[name]
+    t = get_preset(name).template()
+    layers = gradients._program(t).layers
+    assert (len(layers.ops), layers.kept) == (ops, ops + 1)
+    rng = np.random.default_rng(0)
+    y, theta = draw_point(rng, t)
+    v = rng.normal(size=(1, t.num_features))
+    kinds = []
+    apply = statevec._apply_kind
+    monkeypatch.setattr(statevec, "_apply_kind",
+                        lambda *args: kinds.append(args[2]) or apply(*args))
+    counts = []
+    for run in (lambda: eval_qnn(t, y, theta), lambda: grad_params(t, y, theta),
+                lambda: hvp_params_batch(t, y[None], theta, v)):
+        kinds.clear()
+        run()
+        counts.append(len(kinds))
+    assert tuple(counts) == calls
 
 
 @settings(max_examples=40, deadline=None, database=None,

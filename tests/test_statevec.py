@@ -197,3 +197,38 @@ def test_plain_rows_run_alike_stacked_or_apart(num_qubits):
     parts = [_sweep_rows(layers, tables, part) for part in (angles[:2], angles[2:])]
     assert np.array_equal(final, np.concatenate([p[0] for p in parts]))
     assert np.array_equal(grads, np.concatenate([p[1] for p in parts]))
+
+
+def _lowering_gates(num_qubits):
+    """A lone phase block, a rotation layer with its phase block, a lone
+    rotation layer (the next one rotates qubit 1 again) and a rotation layer
+    with its phase block."""
+    top = num_qubits - 1
+    return [("multiz", (0, 1)), ("multiz", (top,)),
+            ("ry", (0,)), ("ry", (top,)),
+            ("multiz", (1, top)), ("multiz", tuple(range(num_qubits))),
+            ("ry", (1,)),
+            ("ry", (1,)), ("ry", (top,)), ("multiz", (0,))]
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
+def test_an_op_is_a_rotation_layer_and_its_phase_block(num_qubits):
+    # the same grouping on every register; only the kernel calls differ
+    kinds, qubits = zip(*_lowering_gates(num_qubits))
+    layers = statevec.Layers(num_qubits, kinds, qubits)
+    assert [(cols[:len(cols) - len(signs)].tolist(),
+             cols[len(cols) - len(signs):].tolist())
+            for _, signs, cols in layers.ops] \
+        == [([], [0, 1]), ([2, 3], [4, 5]), ([6], []), ([7, 8], [9])]
+    assert layers.kept == len(layers.ops) + 1
+    steps = [(kind, i) for kind, _, i in statevec._steps(num_qubits, layers.ops)]
+    if num_qubits <= statevec.BLOCK_QUBITS:
+        assert steps == [("stage", i) for i in range(4)]
+        return
+    # qubits 0 and 1 share the low window, the top qubit is in another
+    assert steps == [("multiz", 0), ("ry", 1), ("ry", 1), ("multiz", 1),
+                     ("ry", 2), ("ry", 3), ("ry", 3), ("multiz", 3)]
+    # forward writes state i + 1 after op i's last step, backward state i
+    # after un-applying op i's first step, down to the initial state
+    assert [t for _, _, t in layers.steps] == [1, None, None, 2, 3, None, None, 4]
+    assert [t for *_, t in layers.back_steps] == [None, None, 3, 2, None, None, 1, 0]
