@@ -158,6 +158,44 @@ def mse_value_and_grad(spec: MlpSpec, x, labels):
     return value_and_grad
 
 
+def _candidates(budget_d: int, input_width: int, trials: int, seed: int,
+                tolerance: int) -> list[MlpSpec]:
+    """The first ``trials`` distinct topologies within ``tolerance`` of the
+    budget among the seed's ``max(200, 400 * trials)`` draws.
+
+    A draw is a depth ``rng.integers(1, 5)``, then that many widths
+    ``rng.integers(1, 17)``.  numpy's ``Generator`` maps a range of n <= 2**32
+    values onto one 32-bit word by Lemire's method, ``low + (word * n >> 32)``,
+    which never rejects a word when n is a power of two, as 4 and 16 are.  So
+    the raw words of one call replay the stream: a draw's depth is one plus
+    the top 2 bits of its first word, its widths one plus the top 4 bits of
+    the next ``depth`` words.  The draw starts are found by pointer jumping
+    over the words.  A repeated tuple is feasible exactly when its first
+    occurrence was, so dropping repeats among the feasible draws keeps the
+    candidates and their order.  ``tests/test_baseline.py`` checks this
+    against the per-draw loop.
+    """
+    draws = max(200, 400 * trials)
+    words = np.random.default_rng(seed).integers(2**32, size=5 * draws)
+    # jump[i]: the first word after a draw that starts at word i (clipped to
+    # the last word); each pass of the loop doubles the draws it spans
+    jump = np.minimum(np.arange(words.size) + 2 + (words >> 30), words.size - 1)
+    starts = np.zeros(1, dtype=int)
+    while starts.size < draws:
+        starts, jump = np.concatenate([starts, jump[starts]]), jump[jump]
+    starts = starts[:draws]
+    depth = 1 + (words[starts] >> 30)
+    layer = np.arange(4)
+    hidden = np.where(layer < depth[:, None],
+                      1 + (words[starts[:, None] + 1 + layer] >> 28), 0)
+    counts = (input_width * hidden[:, 0] + hidden.sum(1) + 1
+              + (hidden[:, :-1] * hidden[:, 1:]).sum(1)
+              + hidden[np.arange(draws), depth - 1])
+    feasible = hidden[np.abs(counts - budget_d) <= tolerance]
+    rows = list(dict.fromkeys(map(tuple, feasible.tolist())))[:trials]
+    return [MlpSpec((input_width, *filter(None, row), 1)) for row in rows]
+
+
 def topology_search(budget_d: int, input_width: int, trials: int, seed: int = 0,
                     train=None, val=None, tolerance: int = 2,
                     epochs: int = 300):
@@ -167,21 +205,14 @@ def topology_search(budget_d: int, input_width: int, trials: int, seed: int = 0,
     ``train``/``val`` are optional (features, labels) pairs; when given, each
     candidate is trained briefly and the best validation loss wins.  Without
     data the candidate whose count is closest to the budget wins.  The search
-    is deterministic per seed.
+    is deterministic per seed; its candidates come from one bulk draw (see
+    ``_candidates``).
     """
-    rng = np.random.default_rng(seed)
-    candidates: list[MlpSpec] = []
-    seen = set()
-    for _ in range(max(200, 400 * trials)):
-        if len(candidates) >= trials:
-            break
-        hidden = [int(w) for w in rng.integers(1, 17, size=rng.integers(1, 5))]
-        widths = (input_width, *hidden, 1)
-        if widths in seen:
-            continue
-        seen.add(widths)
-        if abs(param_count(widths) - budget_d) <= tolerance:
-            candidates.append(MlpSpec(widths))
+    if trials < 1 or tolerance < 0:
+        raise ArgumentError(
+            f"topology search needs trials >= 1 and tolerance >= 0, got "
+            f"trials={trials}, tolerance={tolerance}")
+    candidates = _candidates(budget_d, input_width, trials, seed, tolerance)
     if not candidates:
         raise ArgumentError(
             f"no feasible topology within {tolerance} of budget {budget_d} "

@@ -265,22 +265,21 @@ def mirror_augment(dataset: Dataset, mirror_point: float) -> Dataset:
     """
     if dataset.num_atoms != 2:
         raise ArgumentError("mirroring is defined for diatomic datasets")
-    mirrored = []
-    for idx, s in enumerate(dataset.samples):
-        pos = s.cartesian.reshape(2, 3)
-        r, _ = bond_length(pos, 0, 1)
-        if r > mirror_point + 1e-12:
-            raise ArgumentError(
-                f"sample {idx} has r={r:.6f} beyond the mirror point "
-                f"{mirror_point}"
-            )
-        if abs(r - mirror_point) <= 1e-12:
-            continue
-        unit = (pos[1] - pos[0]) / r
-        new_pos = pos.copy()
-        new_pos[1] = pos[0] + unit * (2.0 * mirror_point - r)
-        forces = None if s.forces is None else -s.forces
-        mirrored.append(Sample(new_pos.ravel(), s.energy, forces))
+    carts = dataset.cartesians()
+    r = internal_coordinates((Bond(0, 1),), carts)[0][:, 0]
+    beyond = np.flatnonzero(r > mirror_point + 1e-12)
+    if beyond.size:
+        raise ArgumentError(
+            f"sample {beyond[0]} has r={r[beyond[0]]:.6f} beyond the mirror "
+            f"point {mirror_point}"
+        )
+    keep = np.flatnonzero(np.abs(r - mirror_point) > 1e-12)
+    pos, rk = carts[keep].reshape(-1, 2, 3), r[keep, None]
+    pos[:, 1] = (pos[:, 0]
+                 + (pos[:, 1] - pos[:, 0]) / rk * (2.0 * mirror_point - rk))
+    mirrored = [Sample(p.ravel(), s.energy,
+                       None if s.forces is None else -s.forces)
+                for p, s in zip(pos, (dataset.samples[k] for k in keep))]
     return Dataset(
         samples=list(dataset.samples) + mirrored,
         elements=dataset.elements,

@@ -31,7 +31,6 @@ from .circuit import (
 from .data import (
     Dataset,
     Sample,
-    diatomic_geometry,
     hydronium_geometry,
     hydronium_oracle,
     morse_oracle,
@@ -90,11 +89,6 @@ LIH_RANGE = (0.9, 4.5)
 H3O_DIHEDRAL_RANGE = (-0.78, 0.78)
 
 
-def _diatomic_forces(r: float) -> np.ndarray:
-    _, f = morse_oracle(r)
-    return np.array([-f, 0.0, 0.0, f, 0.0, 0.0])
-
-
 def generate_lih(count: int, seed: int = 0, mirror: bool = True,
                  lo: float = LIH_RANGE[0], hi: float = LIH_RANGE[1]) -> Dataset:
     """Even grid over [lo, hi); with mirroring the grid halves and reflects
@@ -103,10 +97,11 @@ def generate_lih(count: int, seed: int = 0, mirror: bool = True,
     if base < 1:
         raise ArgumentError(f"count {count} too small")
     rs = lo + (hi - lo) * np.arange(base) / base
-    samples = []
-    for r in rs:
-        e, _ = morse_oracle(r)
-        samples.append(Sample(diatomic_geometry(r), e, _diatomic_forces(r)))
+    energies, forces = np.array([morse_oracle(r) for r in rs.tolist()]).T
+    geoms, labels = np.zeros((2, base, 6))
+    geoms[:, 3] = rs
+    labels[:, 0], labels[:, 3] = -forces, forces
+    samples = [Sample(*s) for s in zip(geoms, energies, labels)]
     ds = Dataset(samples, ("Li", "H"), preset="lih",
                  provenance="morse surrogate grid")
     return mirror_augment(ds, hi) if mirror else ds

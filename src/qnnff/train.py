@@ -53,6 +53,9 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 < self.learning_rate < np.inf:
+            raise ArgumentError("ADAM learning rate must be finite and "
+                                f"positive, got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ArgumentError("ADAM betas must lie in (0, 1)")
         if self.max_steps < 1:

@@ -3,17 +3,19 @@ import pytest
 
 from qnnff.baseline import (
     MlpForceField,
+    _candidates,
     MlpSpec,
     mlp_backward,
     mlp_forward,
     mlp_init_xavier,
     mlp_param_grad_fn,
+    mse_value_and_grad,
     pack_params,
     param_count,
     topology_search,
     unpack_params,
 )
-from qnnff.circuit import EncodingSpec
+from qnnff.circuit import EncodingSpec, encoding_exprs
 from qnnff.errors import ArgumentError
 from qnnff.presets import generate_lih, get_preset
 from qnnff.train import AdamConfig, adam_minimize
@@ -143,6 +145,85 @@ def test_topology_search_with_data(rng):
 def test_topology_search_infeasible():
     with pytest.raises(ArgumentError):
         topology_search(budget_d=1, input_width=7, trials=4, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"trials": 0}, "trials=0"), ({"trials": -2}, "trials=-2"),
+    ({"tolerance": -1}, "tolerance=-1")])
+def test_topology_search_rejects_bad_arguments(kwargs, named):
+    # reported as bad arguments, not as an infeasible budget
+    args = {"budget_d": 73, "input_width": 7, "trials": 8} | kwargs
+    with pytest.raises(ArgumentError, match=named) as err:
+        topology_search(**args)
+    assert "no feasible topology" not in str(err.value)
+
+
+def _reference_draws(seed, count):
+    """The hidden widths of the per-draw search loop: a scalar depth draw,
+    then that many widths, one draw after the other."""
+    rng = np.random.default_rng(seed)
+    return [tuple(int(w) for w in rng.integers(1, 17, size=rng.integers(1, 5)))
+            for _ in range(count)]
+
+
+def _reference_candidates(draws, budget_d, input_width, trials, tolerance):
+    """The per-draw search loop over the draws of ``_reference_draws``."""
+    candidates, seen = [], set()
+    for hidden in draws[:max(200, 400 * trials)]:
+        if len(candidates) >= trials:
+            break
+        widths = (input_width, *hidden, 1)
+        if widths in seen:
+            continue
+        seen.add(widths)
+        if abs(param_count(widths) - budget_d) <= tolerance:
+            candidates.append(MlpSpec(widths))
+    return candidates
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidates_match_the_per_draw_stream(seed):
+    # the bulk draw relies on numpy's Lemire map for bounded integers; a
+    # numpy release that draws them otherwise fails here
+    draws = _reference_draws(seed, 400 * 8)
+    for budget in (1, 10, 20, 50, 72, 73, 87, 100, 156, 300, 700):
+        for width in (1, 3, 7, 15):
+            for trials in (1, 3, 8):
+                for tolerance in (0, 2, 5):
+                    assert _candidates(budget, width, trials, seed,
+                                       tolerance) == _reference_candidates(
+                        draws, budget, width, trials, tolerance)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_topology_search_with_data_picks_the_reference_spec(rng, seed):
+    X = rng.normal(size=(20, 3))
+    e = np.tanh(X[:, 0]) * 0.4
+    best, best_loss = None, np.inf
+    for k, spec in enumerate(_reference_candidates(
+            _reference_draws(seed, 1200), 20, 3, 3, 2)):
+        theta, _, _, _ = adam_minimize(
+            mse_value_and_grad(spec, X, e),
+            pack_params(mlp_init_xavier(spec, seed=seed + k)),
+            AdamConfig(max_steps=50, seed=seed + k))
+        loss = np.mean((mlp_forward(unpack_params(spec, theta), X) - e) ** 2)
+        if loss < best_loss:
+            best, best_loss = spec, loss
+    assert topology_search(budget_d=20, input_width=3, trials=3, seed=seed,
+                           train=(X, e), epochs=50) == best
+
+
+@pytest.mark.parametrize("name, widths", [
+    ("lih", (7, 1, 14, 1, 7, 1)), ("h2o", (7, 2, 2, 16, 1)),
+    ("h3o", (15, 9, 1, 1))])
+def test_benchmark_networks_are_pinned(name, widths):
+    # the budget-matched networks the benchmark workloads build
+    preset = get_preset(name)
+    spec = topology_search(
+        budget_d=preset.template().param_count,
+        input_width=len(encoding_exprs(preset.encoding_spec())),
+        trials=8, seed=0)
+    assert spec.widths == widths
 
 
 def test_mlp_force_field_consistency(rng):

@@ -96,6 +96,17 @@ def test_train_mlp_budget_matched(lih_file, tmp_path, capsys):
     assert abs(ff.param_count - 17) <= 2
 
 
+@pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+def test_train_rejects_a_bad_learning_rate(tmp_path, rate, capsys):
+    data = tmp_path / "lih20.txt"
+    assert run("gen", "--preset", "lih", "--count", 20, "--out", data) == 0
+    out = tmp_path / "model.json"
+    assert run("train", "--data", data, "--checkpoint", out, "--steps", 3,
+               f"--learning-rate={rate}") == 2
+    assert "learning rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def h2o_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "h2o.txt"

@@ -23,6 +23,7 @@ from qnnff.data import (
 )
 from qnnff.descriptors import bond_angle, bond_length, dihedral
 from qnnff.errors import ArgumentError, DataError, DegenerateGeometryError
+from qnnff.presets import generate_lih
 
 
 def lih_grid_dataset(count=170, lo=0.9, hi=4.5, mirror=True):
@@ -193,6 +194,69 @@ def test_mirror_rejects_samples_beyond_point():
     ds = Dataset([Sample(diatomic_geometry(5.0), 1.0, None)], ("Li", "H"))
     with pytest.raises(ArgumentError):
         mirror_augment(ds, 4.5)
+
+
+def test_mirror_names_the_first_sample_beyond_the_point():
+    ds = Dataset([Sample(diatomic_geometry(r), 1.0, None)
+                  for r in (2.0, 4.5, 5.0, 6.0)], ("Li", "H"))
+    with pytest.raises(ArgumentError, match=r"sample 2 has r=5\.000000"):
+        mirror_augment(ds, 4.5)
+
+
+def _reference_mirror(dataset, mirror_point):
+    """Per-sample reflection: one bond length and one partner at a time."""
+    mirrored = []
+    for idx, s in enumerate(dataset.samples):
+        pos = s.cartesian.reshape(2, 3)
+        r, _ = bond_length(pos, 0, 1)
+        assert r <= mirror_point + 1e-12, idx
+        if abs(r - mirror_point) <= 1e-12:
+            continue
+        new_pos = pos.copy()
+        new_pos[1] = pos[0] + (pos[1] - pos[0]) / r * (2.0 * mirror_point - r)
+        forces = None if s.forces is None else -s.forces
+        mirrored.append(Sample(new_pos.ravel(), s.energy, forces))
+    return list(dataset.samples) + mirrored
+
+
+def _reference_lih(count, mirror):
+    """The LiH grid labelled and mirrored one bond length at a time."""
+    ds = lih_grid_dataset(count // 2 if mirror else count, mirror=False)
+    return _reference_mirror(ds, 4.5) if mirror else ds.samples
+
+
+def _assert_bitwise(samples, reference):
+    assert len(samples) == len(reference)
+    for s, ref in zip(samples, reference):
+        assert s.cartesian.tobytes() == ref.cartesian.tobytes()
+        assert s.energy == ref.energy
+        assert (s.forces is None) == (ref.forces is None)
+        if s.forces is not None:
+            assert s.forces.tobytes() == ref.forces.tobytes()
+
+
+@pytest.mark.parametrize("mirror", [True, False])
+@pytest.mark.parametrize("count", [2, 3, 20, 170, 171])
+def test_lih_grid_equals_per_sample_labelling(count, mirror):
+    _assert_bitwise(generate_lih(count, mirror=mirror).samples,
+                    _reference_lih(count, mirror))
+
+
+def test_mirror_equals_per_sample_reflection(rng):
+    # random orientations and offsets, a sample on the mirror point every
+    # seventh, and force labels on every other sample
+    samples = []
+    for k in range(30):
+        d = rng.normal(size=3)
+        r = 4.5 if k % 7 == 0 else rng.uniform(0.5, 4.5)
+        a = rng.normal(size=3)
+        forces = None if k % 2 else rng.normal(size=6)
+        samples.append(Sample(np.concatenate([a, a + r * d / np.linalg.norm(d)]),
+                              rng.normal(), forces))
+    ds = Dataset(samples, ("Li", "H"))
+    out = mirror_augment(ds, 4.5)
+    assert len(out) == 30 + 30 - 5
+    _assert_bitwise(out.samples, _reference_mirror(ds, 4.5))
 
 
 def test_mirror_force_antisymmetry():

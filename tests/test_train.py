@@ -126,12 +126,10 @@ def test_adam_quadratic_toy():
     assert abs(theta[0] - 1.7) < 1e-6
 
 
-def test_adam_zero_learning_rate_keeps_params():
-    vg = lambda th: (float(th @ th), 2 * th)
-    theta, _, _, _ = adam_minimize(
-        vg, np.array([0.3, -0.4]),
-        AdamConfig(learning_rate=0.0, max_steps=5, patience=99))
-    assert np.max(np.abs(theta - [0.3, -0.4])) <= 1e-15
+@pytest.mark.parametrize("rate", [-1.0, 0.0, np.nan, np.inf])
+def test_adam_learning_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ArgumentError, match="learning rate"):
+        AdamConfig(learning_rate=rate)
 
 
 def test_adam_monotone_on_convex_toy():
