@@ -256,8 +256,10 @@ class MlpForceField(ForceFieldMixin):
     encoding: EncodingSpec | None = None
     metadata: dict = field(default_factory=dict)
 
+    PARAM_BOUNDS = (-1.0, 1.0)
+
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
+        self._check()
         expected = (self.pipeline.num_features if self.encoding is None
                     else len(encoding_table(self.encoding).index_sets))
         if self.spec.widths[0] != expected:
@@ -265,33 +267,25 @@ class MlpForceField(ForceFieldMixin):
                 f"network input width {self.spec.widths[0]} does not match "
                 f"{expected} model inputs"
             )
-        self._check_label_scaling()
 
     @property
     def param_count(self) -> int:
         return self.spec.param_count
 
-    def inputs_from_features(self, y: np.ndarray) -> np.ndarray:
-        """Network inputs of a feature row or matrix."""
-        if self.encoding is None:
-            return y
-        return encoding_monomials(self.encoding, y)
-
-    def _outputs(self, features: np.ndarray) -> np.ndarray:
-        net = unpack_params(self.spec, self.theta)
-        return mlp_forward(net, self.inputs_from_features(features))
-
-    def _input_grads(self, features: np.ndarray) -> np.ndarray:
-        return self._outputs_and_input_grads(features)[1]
-
-    def _outputs_and_input_grads(self, features: np.ndarray):
-        """Both from one backward pass of the network."""
-        net = unpack_params(self.spec, self.theta)
-        value, _, d_in = mlp_backward(net, self.inputs_from_features(features))
-        if self.encoding is None:
-            return value, d_in
-        return value, np.einsum("bk,bkj->bj", d_in,
-                                monomial_jacobian(self.encoding, features))
+    def sweep(self, features, theta, params=False, inputs=False, value=True):
+        """The family's hook: one ``mlp_forward`` for the outputs alone, else
+        one ``mlp_backward``, its input gradient chained through the
+        monomials' Jacobian when the network reads them."""
+        net = unpack_params(self.spec, theta)
+        x = (features if self.encoding is None
+             else encoding_monomials(self.encoding, features))
+        if not (params or inputs):
+            return mlp_forward(net, x), None, None
+        f, d_params, d_in = mlp_backward(net, x)
+        if inputs and self.encoding is not None:
+            d_in = np.einsum("bk,bkj->bj", d_in,
+                             monomial_jacobian(self.encoding, features))
+        return f, d_params if params else None, d_in if inputs else None
 
 
 def mlp_payload(ff: MlpForceField) -> dict:

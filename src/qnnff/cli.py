@@ -3,18 +3,18 @@
 Subcommands: gen, train, eval, effdim, md, spectrum.  Every run is
 deterministic given --seed.  A key=value config file passed with --config
 overrides any flag of the same name (dashes become underscores).  Exit codes:
-0 success, 2 argument error, 3 data error, 4 numerical error.
+0 success, 2 argument error, 3 data error (a file that cannot be read or
+written among them), 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
-from . import baseline, capacity, dynamics, gradients, model as model_mod, train
+from . import baseline, capacity, dynamics, model as model_mod, train
 from .data import load_dataset, save_dataset, train_test_split
 from .errors import ArgumentError, DataError, NumericalError, QnnffError
 from .circuit import encoding_monomials
@@ -136,11 +136,8 @@ def apply_config_file(args: argparse.Namespace,
     path = getattr(args, "config", None)
     if not path:
         return
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     actions = _option_actions(parser, args.command)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,14 +206,13 @@ def cmd_train(args) -> None:
                               max_steps=steps, seed=args.seed)
     spec = train.LossSpec(chi=chi)
     if args.model == "qnn":
-        qff = _build_qnn(preset, args, train_set)
-        print(f"training qnn preset={preset.name} d={qff.param_count} "
+        ff = _build_qnn(preset, args, train_set)
+        print(f"training qnn preset={preset.name} d={ff.param_count} "
               f"chi={chi} optimizer={optimizer} max_steps={steps}")
-        fit = train.adam_fit if optimizer == "adam" else train.gradient_free_fit
-        trained, report = fit(qff, train_set, spec, config, validation)
     else:
-        trained, report = _train_mlp(preset, args, train_set, validation,
-                                     chi, config)
+        ff, optimizer = _build_mlp(preset, args, train_set, chi), "adam"
+    fit = train.adam_fit if optimizer == "adam" else train.gradient_free_fit
+    trained, report = fit(ff, train_set, spec, config, validation)
     model_mod.save_checkpoint(trained, args.checkpoint)
     prefix = _out_prefix(args, args.checkpoint)
     with open(f"{prefix}.report.txt", "w") as fh:
@@ -226,9 +222,10 @@ def cmd_train(args) -> None:
     print(f"wrote checkpoint {args.checkpoint}")
 
 
-def _train_mlp(preset, args, train_set, validation, chi, config):
-    """Budget-matched tanh network on the encoded monomials, energy loss,
-    trained with ADAM."""
+def _build_mlp(preset, args, train_set, chi):
+    """Budget-matched tanh network on the encoded monomials, picked by a
+    topology search on the energy loss and Xavier-initialised; it trains
+    with ADAM like the circuit."""
     if chi:
         raise ArgumentError(
             "force-weighted training is only wired for the circuit family; "
@@ -247,16 +244,10 @@ def _train_mlp(preset, args, train_set, validation, chi, config):
     print(f"training mlp widths={spec.widths} d={spec.param_count} "
           f"(budget {qff.param_count})")
     theta0 = baseline.pack_params(baseline.mlp_init_xavier(spec, seed=args.seed))
-    started = time.monotonic()
-    counts0 = gradients.counter.snapshot()
-    theta, losses, epochs, converged = train.adam_minimize(
-        baseline.mse_value_and_grad(spec, inputs, labels), theta0, config)
-    ff = baseline.MlpForceField(spec, qff.pipeline, theta, qff.energy_scale,
-                                qff.energy_offset, encoding=enc,
-                                metadata={"preset": preset.name,
-                                          "family": "mlp"})
-    return ff, train.fit_report(ff, train_set, validation, losses, epochs,
-                                converged, started, counts0, "adam")
+    return baseline.MlpForceField(spec, qff.pipeline, theta0, qff.energy_scale,
+                                  qff.energy_offset, encoding=enc,
+                                  metadata={"preset": preset.name,
+                                            "family": "mlp"})
 
 
 def _check_molecule(ff, dataset, path) -> None:
@@ -299,16 +290,11 @@ def cmd_effdim(args) -> None:
     ff = model_mod.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     _check_molecule(ff, dataset, args.data)
-    inputs = ff.feature_matrix(dataset.cartesians())
-    if isinstance(ff, model_mod.QffModel):
-        grad_fn, bounds = gradients.qnn_param_grad_fn(ff.template), (-np.pi, np.pi)
-    else:
-        grad_fn, bounds = baseline.mlp_param_grad_fn(ff.spec), (-1.0, 1.0)
-        inputs = ff.inputs_from_features(inputs)
     n = len(dataset) if args.n is None else args.n
     report = capacity.effective_dimension(
-        grad_fn, inputs, dim=ff.param_count, n=n, bounds=bounds,
-        draws=args.draws, seed=args.seed,
+        lambda theta, x: ff.sweep(x, theta, params=True, value=False)[1],
+        ff.feature_matrix(dataset.cartesians()), dim=ff.param_count, n=n,
+        bounds=ff.PARAM_BOUNDS, draws=args.draws, seed=args.seed,
         trace_normalize=args.trace_normalize)
     print(report.to_text())
     if args.out:
@@ -407,7 +393,8 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # an OSError names the file it could not read or write
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

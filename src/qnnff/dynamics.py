@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError, DataError, NumericalError
 
 AMU_ANG2_FS2_IN_EV = 103.642697
 
@@ -134,7 +134,15 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    table = np.atleast_2d(np.loadtxt(path))
+    """A trajectory as ``write_trajectory`` writes it: time, n positions, n
+    velocities and three energies per row."""
+    try:
+        table = np.atleast_2d(np.loadtxt(path))
+    except ValueError as exc:
+        raise DataError(f"{path}: not a numeric table: {exc}") from exc
+    if table.shape[1] < 6 or table.shape[1] % 2:
+        raise DataError(f"{path}: {table.shape[1]} columns, not a trajectory "
+                        "(time, n positions, n velocities, three energies)")
     ncoord = (table.shape[1] - 4) // 2
     return Trajectory(
         times=table[:, 0],

@@ -383,17 +383,13 @@ def _prepare(template: QnnTemplate, features, theta):
 
 
 def sweep(template: QnnTemplate, features, theta, params: bool = False,
-          inputs: bool = False):
+          inputs: bool = False, value: bool = True):
     """Outputs f (B,) and, on request, d f / d theta (B, d) and d f / d y
     (B, N), all from one adjoint sweep per row; a plain forward run when no
     gradient is asked for.  Returns (f, grad_theta or None, grad_y or None).
-    The counter is charged what the shift rule runs on hardware."""
-    return _sweep(template, features, theta, params, inputs)
-
-
-def _sweep(template, features, theta, params, inputs, value=True):
-    """``sweep``; with ``value`` false the B circuits of f go uncharged, for
-    callers that return only a gradient."""
+    The counter is charged what the shift rule runs on hardware; with
+    ``value`` false the B circuits of f go uncharged, for callers that use
+    only a gradient.  This is the circuit family's force-field hook."""
     prog, feats, theta = _prepare(template, features, theta)
     values = prog.input_values(feats)
     b, d, m = len(feats), template.param_count, len(prog.input_cols)
@@ -421,8 +417,7 @@ def eval_qnn(template: QnnTemplate, y, theta) -> float:
 
 def grad_params_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     """d f / d theta, one row per sample (the shift rule's 2d circuits each)."""
-    return _sweep(template, features, theta, params=True, inputs=False,
-                  value=False)[1]
+    return sweep(template, features, theta, params=True, value=False)[1]
 
 
 def grad_params(template: QnnTemplate, y, theta) -> np.ndarray:
@@ -432,8 +427,7 @@ def grad_params(template: QnnTemplate, y, theta) -> np.ndarray:
 def grad_inputs_batch(template: QnnTemplate, features, theta) -> np.ndarray:
     """d f / d y_j: the derivative by every encoding occurrence, weighted by
     the derivative of its product expression (the shift rule's 2m circuits)."""
-    return _sweep(template, features, theta, params=False, inputs=True,
-                  value=False)[2]
+    return sweep(template, features, theta, inputs=True, value=False)[2]
 
 
 def grad_inputs(template: QnnTemplate, y, theta) -> np.ndarray:

@@ -45,40 +45,56 @@ def fit_label_scaling(energies, headroom: float = LABEL_HEADROOM):
 
 class ForceFieldMixin:
     """Energies and forces, as in the module docstring, of a family that
-    holds ``pipeline``, ``energy_scale`` and ``energy_offset`` and supplies
-    its outputs ``_outputs`` (B,) and input gradients ``_input_grads``
-    (B, N) of a feature matrix, and both from one pass in
-    ``_outputs_and_input_grads``.  ``predict_energy`` runs no input
-    gradient."""
+    holds ``pipeline``, ``theta``, ``energy_scale`` and ``energy_offset``,
+    has a ``param_count`` and a box ``PARAM_BOUNDS`` that its effective
+    dimension draws parameters from, and supplies one hook,
+
+        sweep(features, theta, params=False, inputs=False, value=True)
+            -> (f (B,), d f / d theta (B, d) or None, d f / d y (B, N) or None)
+
+    the outputs of a feature matrix and, on request, their gradients, all
+    from one pass; with ``value`` false a family that counts circuits leaves
+    f uncharged.  Predictions and training both run on the hook, and
+    ``predict_energy`` asks it for no gradient."""
 
     def feature_matrix(self, geoms) -> np.ndarray:
         return self.pipeline.apply_batch(geoms)
 
-    def raw_output(self, geom) -> float:
-        return float(self._outputs(self.pipeline.apply(geom)[None])[0])
-
     def predict_energy(self, geom) -> float:
-        return self.energy_scale * self.raw_output(geom) + self.energy_offset
+        f = self.sweep(self.pipeline.apply(geom)[None], self.theta)[0]
+        return self.energy_scale * float(f[0]) + self.energy_offset
 
     def predict_energy_batch(self, geoms) -> np.ndarray:
-        return (self.energy_scale * self._outputs(self.feature_matrix(geoms))
-                + self.energy_offset)
+        f = self.sweep(self.feature_matrix(geoms), self.theta)[0]
+        return self.energy_scale * f + self.energy_offset
 
     def predict_forces(self, geom) -> np.ndarray:
         y, jac = self.pipeline.apply_with_jacobian(geom)
-        return self._forces(self._input_grads(y[None]), jac[None])[0]
+        grads = self.sweep(y[None], self.theta, inputs=True, value=False)[2]
+        return self._forces(grads, jac[None])[0]
 
     def energy_forces(self, geoms):
         """Energies (B,) and forces (B, 3n) from one descriptor pass."""
         y, jac = self.pipeline.apply_with_jacobian_batch(geoms)
-        outputs, grads = self._outputs_and_input_grads(y)
-        return (self.energy_scale * outputs + self.energy_offset,
-                self._forces(grads, jac))
+        f, _, grads = self.sweep(y, self.theta, inputs=True)
+        return self.energy_scale * f + self.energy_offset, self._forces(grads, jac)
 
     def _forces(self, grads: np.ndarray, jac: np.ndarray) -> np.ndarray:
         return -self.energy_scale * np.einsum("bj,bjc->bc", grads, jac)
 
-    def _check_label_scaling(self) -> None:
+    def hvp_params(self, features, theta, directions) -> np.ndarray:
+        """d/d theta of sum_j v_bj d f / d y_j per row b, the mixed Hessian
+        times the directions v (B, N), which force-weighted ADAM needs."""
+        raise ArgumentError(f"{type(self).__name__} supplies no mixed Hessian, "
+                            "so ADAM cannot weight forces (chi > 0); pass chi = 0")
+
+    def _check(self) -> None:
+        """Theta's shape and the label scaling; every family's constructor
+        runs it."""
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.shape != (self.param_count,):
+            raise ArgumentError(f"theta has shape {self.theta.shape}, the model "
+                                f"wants {self.param_count} parameters")
         if not (np.isfinite(self.energy_scale) and self.energy_scale > 0):
             raise ArgumentError("energy scale must be finite and positive")
         if not np.isfinite(self.energy_offset):
@@ -100,35 +116,27 @@ class QffModel(ForceFieldMixin):
     energy_offset: float
     metadata: dict = field(default_factory=dict)
 
+    PARAM_BOUNDS = (-np.pi, np.pi)
+
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.template.param_count,):
-            raise ArgumentError(
-                f"theta has shape {self.theta.shape}, template wants "
-                f"{self.template.param_count} parameters"
-            )
+        self._check()
         if self.pipeline.num_features != self.template.num_features:
             raise ArgumentError(
                 f"pipeline emits {self.pipeline.num_features} features, "
                 f"template expects {self.template.num_features}"
             )
-        self._check_label_scaling()
 
     @property
     def param_count(self) -> int:
         return self.template.param_count
 
-    def _outputs(self, features: np.ndarray) -> np.ndarray:
-        return gradients.eval_qnn_batch(self.template, features, self.theta)
+    def sweep(self, features, theta, params=False, inputs=False, value=True):
+        return gradients.sweep(self.template, features, theta, params, inputs,
+                               value)
 
-    def _input_grads(self, features: np.ndarray) -> np.ndarray:
-        return gradients.grad_inputs_batch(self.template, features, self.theta)
-
-    def _outputs_and_input_grads(self, features: np.ndarray):
-        """Both from one adjoint sweep per row."""
-        outputs, _, grads = gradients.sweep(self.template, features, self.theta,
-                                            inputs=True)
-        return outputs, grads
+    def hvp_params(self, features, theta, directions) -> np.ndarray:
+        return gradients.hvp_params_batch(self.template, features, theta,
+                                          directions)
 
 
 def initialized_model(template: QnnTemplate, pipeline: DescriptorPipeline,
@@ -237,6 +245,8 @@ def load_checkpoint(path):
             return baseline.mlp_from_payload(payload, pipeline, scale, offset,
                                              metadata)
         raise CheckpointError(f"{path}: unknown model family {family!r}")
+    except ArgumentError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing checkpoint field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -2,32 +2,33 @@
 
 The loss is evaluated in scaled units: energies pass through the model's
 affine label transform, forces are divided by the energy scale.  Training is
-full batch with exact gradients.  One adjoint sweep per sample
-(``gradients.sweep``) gives the outputs, d f / d theta and, when the force
-weight chi is nonzero, d f / d y for the force predictions; the force term's
-parameter gradient needs the mixed Hessian d^2 f / d theta d y only through
-its product with each sample's force residual pulled back to the features,
-which ``gradients.hvp_params_batch`` gives from one tangent-augmented sweep
-per sample (``gradients.mixed_hessian_batch``, which builds the whole
-Hessian, is its reference).  The gradient-free path drives the same loss
-through COBYLA and never requests a parameter gradient.  Reports count
-circuit evaluations as the parameter-shift rule would run them on hardware
-(the force term's 4dm per sample among them), and the rows the simulator
-actually swept as simulated passes.  Parameters start at zero so every
-trainable stage begins as the identity.
+full batch with exact gradients, and both model families take one path: the
+family's ``sweep`` hook gives the outputs, d f / d theta and, when the force
+weight chi is nonzero, d f / d y for the force predictions, from one adjoint
+sweep per sample for the circuit (``gradients.sweep``) and one backward pass
+for the network.  The force term's parameter gradient needs the mixed
+Hessian d^2 f / d theta d y only through its product with each sample's
+force residual pulled back to the features, which the circuit's
+``hvp_params`` (``gradients.hvp_params_batch``) gives from one
+tangent-augmented sweep per sample (``gradients.mixed_hessian_batch``,
+which builds the whole Hessian, is its reference).  The gradient-free path
+drives the same loss through COBYLA and never requests a parameter
+gradient.  Reports count circuit evaluations as the parameter-shift rule
+would run them on hardware (the force term's 4dm per sample among them),
+and the rows the simulator actually swept as simulated passes.  Parameters
+start at zero so every trainable stage begins as the identity.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gradients
 from .data import Dataset
 from .errors import ArgumentError, DataError, NumericalError
-from .model import QffModel
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class _Problem:
     forces: np.ndarray | None   # (B, 3n) scaled
 
 
-def _lower(model: QffModel, dataset: Dataset, chi: float) -> _Problem:
+def _lower(model, dataset: Dataset, chi: float) -> _Problem:
     if chi > 0 and not dataset.has_forces:
         raise DataError("chi > 0 requires force labels on every sample")
     feats, jacs = model.pipeline.apply_with_jacobian_batch(dataset.cartesians())
@@ -124,12 +125,12 @@ def _lower(model: QffModel, dataset: Dataset, chi: float) -> _Problem:
     return _Problem(feats, model.scaled_energy(dataset.energies()), jacs, forces)
 
 
-def _loss_terms(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray,
+def _loss_terms(model, prob: _Problem, chi: float, theta: np.ndarray,
                 params: bool = False):
     """Loss, energy and force residuals and, with ``params``, d f / d theta,
-    all from one sweep."""
-    f, g_param, gy = gradients.sweep(model.template, prob.features, theta,
-                                     params=params, inputs=chi > 0)
+    all from one call of the family's hook."""
+    f, g_param, gy = model.sweep(prob.features, theta, params=params,
+                                 inputs=chi > 0)
     residual = f - prob.energies
     loss = float(np.mean(residual ** 2))
     force_residual = None
@@ -140,14 +141,14 @@ def _loss_terms(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray,
     return loss, residual, force_residual, g_param
 
 
-def loss_chi(model: QffModel, dataset: Dataset, spec: LossSpec) -> float:
+def loss_chi(model, dataset: Dataset, spec: LossSpec) -> float:
     """Scaled-unit loss: mean squared energy residual plus chi times the mean
     squared force-component residual."""
     prob = _lower(model, dataset, spec.chi)
     return _loss_terms(model, prob, spec.chi, model.theta)[0]
 
 
-def _loss_and_grad(model: QffModel, prob: _Problem, chi: float, theta: np.ndarray):
+def _loss_and_grad(model, prob: _Problem, chi: float, theta: np.ndarray):
     loss, residual, force_residual, g_param = _loss_terms(model, prob, chi,
                                                           theta, params=True)
     grad = (2.0 / residual.size) * (g_param.T @ residual)
@@ -155,7 +156,7 @@ def _loss_and_grad(model: QffModel, prob: _Problem, chi: float, theta: np.ndarra
         # d(pred)/d theta = -hess . J, contracted with the residual per
         # sample: the mixed Hessian times pull, one tangent sweep per sample
         pull = np.einsum("bjc,bc->bj", prob.jacobians, force_residual)
-        hvp = gradients.hvp_params_batch(model.template, prob.features, theta, pull)
+        hvp = model.hvp_params(prob.features, theta, pull)
         grad -= (2.0 * chi / force_residual.size) * hvp.sum(axis=0)
     return loss, grad
 
@@ -215,16 +216,17 @@ def evaluate_rmse(model, dataset: Dataset, with_forces: bool = True):
     return prediction_rmse(dataset, *predict_dataset(model, dataset, with_forces))
 
 
-def fit_report(trained, dataset, validation, losses, epochs, converged,
-               started, counts0, optimizer, budget_exhausted=False) -> TrainReport:
-    """Report of a finished fit of any force field family: training and
-    validation RMSEs, wall time since ``started``, and circuit evaluations
-    and simulated passes since ``counts0``, a snapshot of the counter."""
+def _finish(model, dataset, validation, theta, losses, epochs, converged,
+            started, counts0, optimizer, budget_exhausted=False):
+    """The fitted model and its report: training and validation RMSEs, wall
+    time since ``started``, and circuit evaluations and simulated passes
+    since ``counts0``, a snapshot of the counter."""
+    trained = replace(model, theta=theta, metadata=dict(model.metadata))
     tr_e, tr_f = evaluate_rmse(trained, dataset)
     va_e = va_f = None
     if validation is not None:
         va_e, va_f = evaluate_rmse(trained, validation)
-    return TrainReport(
+    return trained, TrainReport(
         losses=losses,
         epochs=epochs,
         converged=converged,
@@ -240,19 +242,11 @@ def fit_report(trained, dataset, validation, losses, epochs, converged,
     )
 
 
-def _finish(model: QffModel, dataset, validation, theta, losses, epochs,
-            converged, started, counts0, optimizer, budget_exhausted=False):
-    trained = QffModel(model.template, model.pipeline, theta,
-                       model.energy_scale, model.energy_offset,
-                       dict(model.metadata))
-    return trained, fit_report(trained, dataset, validation, losses, epochs,
-                               converged, started, counts0, optimizer,
-                               budget_exhausted)
-
-
-def adam_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
-             config: AdamConfig, validation: Dataset | None = None):
-    """Full-batch gradient descent with ADAM moments from the given model."""
+def adam_fit(model, dataset: Dataset, spec: LossSpec, config: AdamConfig,
+             validation: Dataset | None = None):
+    """Full-batch gradient descent with ADAM moments from the given model, a
+    circuit or a network; weighting forces (chi > 0) needs the family's
+    ``hvp_params``."""
     started = time.monotonic()
     counts0 = gradients.counter.snapshot()
     prob = _lower(model, dataset, spec.chi)
@@ -264,7 +258,7 @@ def adam_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
                    converged, started, counts0, "adam")
 
 
-def gradient_free_fit(model: QffModel, dataset: Dataset, spec: LossSpec,
+def gradient_free_fit(model, dataset: Dataset, spec: LossSpec,
                       config: AdamConfig, validation: Dataset | None = None):
     """Derivative-free COBYLA over the same scaled loss; never evaluates a
     parameter gradient, so the only shift-rule calls are the input gradients

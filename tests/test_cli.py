@@ -114,6 +114,21 @@ def h2o_file(tmp_path_factory):
     return path
 
 
+def test_train_mlp_rejects_forces_before_the_search(lih_file, tmp_path,
+                                                    monkeypatch, capsys):
+    from qnnff import baseline
+
+    def search(*args, **kwargs):
+        raise AssertionError("the topology search ran")
+
+    monkeypatch.setattr(baseline, "topology_search", search)
+    out = tmp_path / "mlp.json"
+    assert run("train", "--data", lih_file, "--checkpoint", out,
+               "--model", "mlp", "--chi", 1) == 2
+    assert "--chi 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_mlp_rejects_cobyla(h2o_file, tmp_path, capsys):
     out = tmp_path / "mlp.json"
     assert run("train", "--data", h2o_file, "--checkpoint", out,
@@ -344,3 +359,102 @@ def test_gen_deterministic(tmp_path):
     assert run("gen", "--preset", "h2o", "--count", 9, "--seed", 5,
                "--out", b) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint(tmp_path_factory, tiny_checkpoint):
+    from qnnff.baseline import MlpForceField, MlpSpec
+    from qnnff.presets import get_preset
+
+    qff = load_checkpoint(tiny_checkpoint)
+    spec = MlpSpec((7, 4, 1))
+    theta = np.random.default_rng(3).normal(scale=0.5, size=spec.param_count)
+    ff = MlpForceField(spec, qff.pipeline, theta, qff.energy_scale,
+                       qff.energy_offset, encoding=get_preset("lih").encoding_spec(),
+                       metadata={"preset": "lih", "family": "mlp"})
+    path = tmp_path_factory.mktemp("cli") / "mlp.json"
+    save_checkpoint(ff, path)
+    return path
+
+
+@pytest.mark.parametrize("family", ["qnn", "mlp"])
+def test_effdim_draws_each_family_in_its_own_box(family, tiny_checkpoint,
+                                                mlp_checkpoint, lih_file, capsys):
+    # the hook's parameter gradients give what the family's adapter gives
+    from qnnff import gradients
+    from qnnff.baseline import mlp_param_grad_fn
+    from qnnff.capacity import effective_dimension
+    from qnnff.circuit import encoding_monomials
+
+    path = tiny_checkpoint if family == "qnn" else mlp_checkpoint
+    assert run("effdim", "--checkpoint", path, "--data", lih_file, "--n", 50,
+               "--draws", 3) == 0
+    ff = load_checkpoint(path)
+    feats = ff.feature_matrix(load_dataset(lih_file).cartesians())
+    if family == "qnn":
+        args = gradients.qnn_param_grad_fn(ff.template), feats, (-np.pi, np.pi)
+    else:
+        args = (mlp_param_grad_fn(ff.spec), encoding_monomials(ff.encoding, feats),
+                (-1.0, 1.0))
+    want = effective_dimension(args[0], args[1], dim=ff.param_count, n=50,
+                               bounds=args[2], draws=3)
+    assert capsys.readouterr().out == want.to_text() + "\n"
+
+
+@pytest.mark.parametrize("command, extra", [("eval", ()),
+                                            ("effdim", ("--draws", 1))])
+@pytest.mark.parametrize("family", ["qnn", "mlp"])
+def test_checkpoint_with_a_short_theta_is_data_error(
+        tmp_path, tiny_checkpoint, mlp_checkpoint, lih_file, command, extra,
+        family, capsys):
+    path = tiny_checkpoint if family == "qnn" else mlp_checkpoint
+    payload = json.loads(open(path).read())
+    payload["theta"].pop()
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(payload))
+    assert run(command, "--checkpoint", bad, "--data", lih_file, *extra) == 3
+    err = capsys.readouterr().err
+    assert "short.json" in err and "theta has shape" in err
+
+
+# every subcommand that reads a file, on a path that does not exist
+@pytest.mark.parametrize("argv", [
+    ("train", "--data", "MISSING", "--checkpoint", "OUT", "--steps", 1),
+    ("eval", "--checkpoint", "MISSING", "--data", "LIH"),
+    ("eval", "--checkpoint", "CKPT", "--data", "MISSING"),
+    ("effdim", "--checkpoint", "MISSING", "--data", "LIH"),
+    ("effdim", "--checkpoint", "CKPT", "--data", "MISSING"),
+    ("md", "--checkpoint", "MISSING", "--steps", 2, "--out", "OUT"),
+    ("md", "--oracle", "--preset", "h2o", "--data", "MISSING", "--steps", 2,
+     "--out", "OUT"),
+    ("spectrum", "--traj", "MISSING", "--out", "OUT"),
+    ("spectrum", "--checkpoint", "MISSING", "--out", "OUT"),
+    ("gen", "--config", "MISSING", "--out", "OUT"),
+], ids=["train-data", "eval-checkpoint", "eval-data", "effdim-checkpoint",
+        "effdim-data", "md-checkpoint", "md-data", "spectrum-traj",
+        "spectrum-checkpoint", "config"])
+def test_a_missing_file_ends_in_an_error_not_a_traceback(
+        argv, tmp_path, tiny_checkpoint, lih_file, capsys):
+    missing = tmp_path / "missing.txt"
+    names = {"MISSING": missing, "OUT": tmp_path / "out.txt",
+             "CKPT": tiny_checkpoint, "LIH": lih_file}
+    assert run(*(names.get(a, a) for a in argv)) in (2, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(missing) in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["not a trajectory\n", "1 2 3\n"])
+def test_spectrum_of_a_malformed_trajectory_is_data_error(tmp_path, text,
+                                                          capsys):
+    traj = tmp_path / "traj.txt"
+    traj.write_text(text)
+    assert run("spectrum", "--traj", traj, "--out", tmp_path / "s.txt") == 3
+    assert "traj.txt" in capsys.readouterr().err
+
+
+def test_train_into_a_missing_directory_is_data_error(lih_file, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "m.json"
+    assert run("train", "--data", lih_file, "--checkpoint", out,
+               "--depth", 1, "--steps", 2) == 3
+    assert str(out.parent) in capsys.readouterr().err

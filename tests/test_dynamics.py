@@ -14,7 +14,7 @@ from qnnff.dynamics import (
     velocity_verlet_run,
     write_trajectory,
 )
-from qnnff.errors import ArgumentError, NumericalError
+from qnnff.errors import ArgumentError, DataError, NumericalError
 from qnnff.presets import get_preset, reduced_mass
 
 LIH_MU = reduced_mass(get_preset("lih"))
@@ -149,6 +149,16 @@ def test_trajectory_round_trip(tmp_path):
     back = read_trajectory(path)
     assert np.allclose(back.positions, traj.positions)
     assert np.allclose(back.total, traj.total)
+
+
+@pytest.mark.parametrize("text", ["# t x v\nnot a number\n", "1 2 3\n4 5 6\n",
+                                  "1 2 3 4 5 6 7\n"],
+                         ids=["text", "three-columns", "odd-columns"])
+def test_read_trajectory_rejects_a_table_that_is_no_trajectory(tmp_path, text):
+    path = tmp_path / "traj.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match="traj.txt"):
+        read_trajectory(path)
 
 
 def test_sinusoid_spectrum_peak():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -174,8 +177,6 @@ def test_checkpoint_truncated_file(tmp_path, lih_setup):
 
 
 def test_checkpoint_version_mismatch(tmp_path, lih_setup):
-    import json
-
     _, _, model = lih_setup
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
@@ -222,8 +223,6 @@ def _set(field, index, value):
 ], ids=["theta", "energy_scale", "energy_offset", "pipeline_bounds"])
 def test_checkpoint_rejects_non_finite_field(tmp_path, lih_setup, rng, family,
                                              name, edit):
-    import json
-
     path = tmp_path / "model.json"
     save_checkpoint(family(lih_setup, rng), path)
     payload = json.loads(path.read_text())
@@ -240,3 +239,50 @@ def test_model_dimension_validation(lih_setup):
     with pytest.raises(ArgumentError):
         QffModel(model.template, model.pipeline,
                  np.zeros(model.param_count), -1.0, 0.0)
+
+
+@pytest.mark.parametrize("family", [_circuit_model, _mlp_model],
+                         ids=["circuit", "mlp"])
+def test_constructor_checks_the_length_of_theta(lih_setup, rng, family):
+    model = family(lih_setup, rng)
+    with pytest.raises(ArgumentError, match="theta has shape"):
+        dataclasses.replace(model, theta=model.theta[:-1])
+
+
+@pytest.mark.parametrize("family, edit, message", [
+    (_circuit_model, lambda p: p["theta"].pop(), "theta has shape"),
+    (_mlp_model, lambda p: p["theta"].pop(), "theta has shape"),
+    (_circuit_model, lambda p: p["template"]["gates"].pop(), "gate list"),
+    (_mlp_model, lambda p: p["widths"].insert(1, 1), "theta has shape"),
+], ids=["circuit-theta", "mlp-theta", "circuit-gates", "mlp-widths"])
+def test_checkpoint_inconsistent_with_its_model_is_checkpoint_error(
+        tmp_path, lih_setup, rng, family, edit, message):
+    path = tmp_path / "model.json"
+    save_checkpoint(family(lih_setup, rng), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"model.json: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_predictions_charge_what_the_circuit_calls_charge(lih_setup, rng):
+    _, data, model = lih_setup
+    m = randomized(model, rng)
+    geoms = data.cartesians()[:3]
+    y, _ = m.pipeline.apply_with_jacobian_batch(geoms)
+    t, theta = m.template, m.theta
+
+    def charge(call):
+        gradients.counter.reset()
+        call()
+        return dataclasses.astuple(gradients.counter)
+
+    assert (charge(lambda: m.predict_energy(geoms[0]))
+            == charge(lambda: gradients.eval_qnn_batch(t, y[:1], theta)))
+    assert (charge(lambda: m.predict_energy_batch(geoms))
+            == charge(lambda: gradients.eval_qnn_batch(t, y, theta)))
+    assert (charge(lambda: m.predict_forces(geoms[0]))
+            == charge(lambda: gradients.grad_inputs_batch(t, y[:1], theta)))
+    assert (charge(lambda: m.energy_forces(geoms))
+            == charge(lambda: gradients.sweep(t, y, theta, inputs=True)))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qnnff import gradients, train
-from qnnff.circuit import encoding_exprs
+from qnnff.baseline import (MlpForceField, MlpSpec, mlp_init_xavier,
+                            mse_value_and_grad, pack_params)
+from qnnff.circuit import encoding_exprs, encoding_monomials
 from qnnff.data import Dataset, Sample
 from qnnff.errors import ArgumentError, DataError, NumericalError
 from qnnff.model import QffModel, initialized_model
@@ -79,7 +81,7 @@ def test_loss_hand_computed_two_samples():
     model, data = small_lih_model()
     two = Dataset(data.samples[:2], data.elements)
     spec = LossSpec(chi=0.0)
-    f = [model.raw_output(s.cartesian) for s in two.samples]
+    f = model.sweep(model.feature_matrix(two.cartesians()), model.theta)[0]
     e = [model.scaled_energy(s.energy) for s in two.samples]
     expected = 0.5 * ((f[0] - e[0]) ** 2 + (f[1] - e[1]) ** 2)
     assert loss_chi(model, two, spec) == pytest.approx(expected, rel=1e-12)
@@ -274,3 +276,48 @@ def test_loss_curve_file(tmp_path):
     rows = np.loadtxt(path)
     assert rows.shape == (5, 2)
     assert np.allclose(rows[:, 1], report.losses)
+
+
+def small_lih_network():
+    model, data = small_lih_model()
+    spec = MlpSpec((7, 4, 1))
+    ff = MlpForceField(spec, model.pipeline, pack_params(mlp_init_xavier(spec)),
+                       model.energy_scale, model.energy_offset,
+                       encoding=get_preset("lih").encoding_spec(),
+                       metadata={"preset": "lih", "family": "mlp"})
+    return ff, data
+
+
+def test_adam_fit_trains_the_mlp_on_its_energy_loss():
+    # the one fit path gives the network the descent its own loss gives
+    ff, data = small_lih_network()
+    config = AdamConfig(max_steps=60)
+    gradients.counter.reset()
+    trained, report = adam_fit(ff, data, LossSpec(0.0), config, validation=data)
+    inputs = encoding_monomials(ff.encoding, ff.feature_matrix(data.cartesians()))
+    theta, losses, epochs, converged = adam_minimize(
+        mse_value_and_grad(ff.spec, inputs, ff.scaled_energy(data.energies())),
+        ff.theta, config)
+    assert isinstance(trained, MlpForceField)
+    assert np.array_equal(trained.theta, theta)
+    assert (report.losses, report.epochs, report.converged) == (losses, epochs,
+                                                                converged)
+    assert trained.metadata == ff.metadata and trained.metadata is not ff.metadata
+    assert (report.circuit_evals, report.simulated_passes) == (0, 0)
+    assert dataclasses.astuple(gradients.counter) == (0, 0, 0, 0, 0)
+    assert report.val_rmse_energy == evaluate_rmse(trained, data)[0]
+
+
+def test_adam_fit_rejects_forces_on_the_mlp():
+    ff, data = small_lih_network()
+    with pytest.raises(ArgumentError, match="chi"):
+        adam_fit(ff, data, LossSpec(chi=1.0), AdamConfig(max_steps=3))
+
+
+def test_gradient_free_fit_takes_the_mlp_with_forces():
+    ff, data = small_lih_network()
+    trained, report = gradient_free_fit(ff, data, LossSpec(chi=1.0),
+                                        AdamConfig(max_steps=ff.param_count + 2))
+    assert report.optimizer == "cobyla"
+    assert report.losses[-1] <= loss_chi(ff, data, LossSpec(chi=1.0))
+    assert report.losses[-1] == loss_chi(trained, data, LossSpec(chi=1.0))
