@@ -10,6 +10,7 @@ written among them), 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -192,6 +193,11 @@ def _build_qnn(preset, args, train_set):
 
 
 def cmd_train(args) -> None:
+    # the fit can take minutes; a missing output folder must end it first
+    for path in (args.checkpoint, _out_prefix(args, args.checkpoint)):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise DataError(f"cannot write {path}: no directory {folder}")
     dataset = load_dataset(args.data)
     preset = get_preset(args.preset or dataset.preset)
     if args.train_size is not None:

@@ -6,6 +6,15 @@ pipeline stage can be exercised end to end without external chemistry codes.
 Externally produced datasets are ingested either from the native file format
 below or through a user-registered converter.
 
+Hydronium geometries are placed from internal coordinates: H3 sits on the
+cone of half-angle theta13 around the O-H1 axis, and its azimuth is found in
+two batched steps.  A scan of 73 azimuths picks the first grid interval over
+which the (O, H3, H2, H1) dihedral crosses its target, with both ends defined
+and no jump across the +-pi seam; safeguarded Newton steps, their slope taken
+from the dihedral kernel's gradient, then polish every bracket at once.
+``presets.generate_h3o`` scans its candidates in blocks and polishes all
+accepted ones in one solve.
+
 File format (space-delimited decimal text):
 
     line 1:   <n_atoms> <element_1> ... <element_n> forces=<0|1> [preset=<tag>]
@@ -23,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import (Angle, Bond, Dihedral, bond_length, dihedral,
+from .descriptors import (Angle, Bond, Dihedral, bond_length,
                           internal_coordinates)
-from .errors import ArgumentError, DataError
+from .errors import ArgumentError, DataError, NumericalError
 
 
 @dataclass
@@ -214,42 +223,103 @@ def triatomic_geometry(r1: float, r2: float, theta: float) -> np.ndarray:
 def hydronium_geometry(r1: float, r2: float, r3: float, theta12: float,
                        theta13: float, d_target: float) -> np.ndarray:
     """Place (O, H1, H2, H3) with the requested bonds, angles at the oxygen,
-    and dihedral over (O, H3, H2, H1).
+    and dihedral over (O, H3, H2, H1): the batch-of-one view of the scan and
+    polish below."""
+    params = np.array([[r1, r2, r3, theta12, theta13]], dtype=float)
+    targets = np.array([d_target], dtype=float)
+    found, *bracket = _hydronium_brackets(_hydronium_scan(params), targets)
+    if not found[0]:
+        raise _no_placement(d_target)
+    return _hydronium_polish(params, targets, *bracket)[0]
 
-    H3 sits on the cone of half-angle theta13 around the O-H1 axis; its
-    azimuth is solved numerically so the signed dihedral hits ``d_target``.
-    """
-    from scipy.optimize import brentq
 
-    base = np.array([
-        [0.0, 0.0, 0.0],
-        [r1, 0.0, 0.0],
-        [r2 * math.cos(theta12), r2 * math.sin(theta12), 0.0],
-        [0.0, 0.0, 0.0],
-    ])
+# H3 sits on the cone of half-angle theta13 around the O-H1 axis, at azimuth
+# psi about that axis (psi = 0 puts it in the xy plane, on H2's side).
+# Candidates are rows (r1, r2, r3, theta12, theta13).
+_UMBRELLA = Dihedral(0, 3, 2, 1)
+_AZIMUTHS = np.linspace(-np.pi + 0.05, np.pi - 0.05, 73)
+_PSI_TOL = 1e-13        # rad; a row stops once its step is this small
+_POLISH_STEPS = 60      # bisection alone needs 41 from a grid interval
 
-    def with_azimuth(psi: float) -> np.ndarray:
-        pos = base.copy()
-        pos[3] = r3 * np.array([
-            math.cos(theta13),
-            math.sin(theta13) * math.cos(psi),
-            math.sin(theta13) * math.sin(psi),
-        ])
-        return pos
 
-    # one batched dihedral over the azimuth grid; NaN where it is undefined
-    grid = np.linspace(-np.pi + 0.05, np.pi - 0.05, 73)
-    vals = Dihedral(0, 3, 2, 1).batch(
-        np.stack([with_azimuth(psi) for psi in grid]))[0] - d_target
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if np.isfinite(fa) and np.isfinite(fb) and fa * fb <= 0 and abs(fa - fb) < np.pi:
-            psi = brentq(lambda p: dihedral(with_azimuth(p), 0, 3, 2, 1)[0]
-                         - d_target, a, b, xtol=1e-12)
-            return with_azimuth(psi).ravel()
-    raise ArgumentError(
+def _no_placement(d_target: float) -> ArgumentError:
+    return ArgumentError(
         f"no hydronium placement reaches dihedral {d_target:.3f} rad with the "
         f"given bonds and angles"
     )
+
+
+def _hydronium_positions(params: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(B, G, 4, 3) positions of candidates (B, 5) at azimuths psi (B, G)."""
+    r1, r2, r3, t12, t13 = params.T[:, :, None]
+    pos = np.zeros(psi.shape + (4, 3))
+    pos[..., 1, 0] = r1
+    pos[..., 2, 0] = r2 * np.cos(t12)
+    pos[..., 2, 1] = r2 * np.sin(t12)
+    pos[..., 3, 0] = r3 * np.cos(t13)
+    pos[..., 3, 1] = r3 * (np.sin(t13) * np.cos(psi))
+    pos[..., 3, 2] = r3 * (np.sin(t13) * np.sin(psi))
+    return pos
+
+
+def _hydronium_scan(params: np.ndarray) -> np.ndarray:
+    """The dihedral (B, 73) of candidates (B, 5) on the azimuth grid, from one
+    kernel call; NaN where it is undefined."""
+    psi = np.broadcast_to(_AZIMUTHS, (len(params), _AZIMUTHS.size))
+    pos = _hydronium_positions(params, psi).reshape(-1, 4, 3)
+    return _UMBRELLA.batch(pos)[0].reshape(psi.shape)
+
+
+def _hydronium_brackets(scan: np.ndarray, targets: np.ndarray):
+    """Each row's first grid interval [a, b] over which f = dihedral - target
+    changes sign (or touches 0), with both ends finite and no jump across the
+    +-pi seam (|f(a) - f(b)| < pi).  Returns whether a row has one (B,) and
+    a, b, f(a), f(b) (B,) of it, which are junk where it has none."""
+    f = scan - targets[:, None]
+    fa, fb = f[:, :-1], f[:, 1:]
+    ok = (np.isfinite(fa) & np.isfinite(fb) & (fa * fb <= 0)
+          & (np.abs(fa - fb) < np.pi))
+    first, rows = ok.argmax(axis=1), np.arange(len(f))
+    return (ok[rows, first], _AZIMUTHS[first], _AZIMUTHS[first + 1],
+            fa[rows, first], fb[rows, first])
+
+
+def _hydronium_polish(params, targets, a, b, fa, fb) -> np.ndarray:
+    """Flat (B, 12) geometries of candidates (B, 5) whose dihedral hits
+    ``targets`` (B,), each from its bracket [a, b] with f(a), f(b).
+
+    Safeguarded Newton, all rows at once: start at the bracket's secant point,
+    take the slope from the kernel's gradient, dd/dpsi = grad_H3 d . dH3/dpsi,
+    shrink the bracket by the sign of f, and bisect whenever a Newton step
+    leaves it.  A row stops once its step is at most ``_PSI_TOL``."""
+    psi, rows = np.empty(len(params)), np.arange(len(params))
+    x = a - fa * (b - a) / np.where(fb == fa, 1.0, fb - fa)
+    for _ in range(_POLISH_STEPS):
+        if not rows.size:
+            break
+        cand = params[rows]
+        d, grad = _UMBRELLA.batch(_hydronium_positions(cand, x[:, None])[:, 0])
+        f = d - targets[rows]
+        if not np.isfinite(f).all():
+            break
+        left = np.sign(f) == np.sign(fa)    # the root lies right of x
+        a, fa = np.where(left, x, a), np.where(left, f, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, f)
+        lever = cand[:, 2] * np.sin(cand[:, 4])
+        slope = lever * (grad[:, 11] * np.cos(x) - grad[:, 10] * np.sin(x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / slope
+        step = np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b))
+        done = np.abs(step - x) <= _PSI_TOL
+        psi[rows[done]] = step[done]
+        keep = ~done
+        rows, x = rows[keep], step[keep]
+        a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+    if rows.size:
+        raise NumericalError(
+            f"hydronium placement did not converge for {rows.size} of "
+            f"{len(params)} geometries")
+    return _hydronium_positions(params, psi[:, None]).reshape(-1, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,13 @@ def save_checkpoint(model, path) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
 
 
 def load_checkpoint(path):

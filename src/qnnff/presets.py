@@ -31,7 +31,10 @@ from .circuit import (
 from .data import (
     Dataset,
     Sample,
-    hydronium_geometry,
+    _hydronium_brackets,
+    _hydronium_polish,
+    _hydronium_scan,
+    _no_placement,
     hydronium_oracle,
     morse_oracle,
     mirror_augment,
@@ -87,6 +90,9 @@ class MoleculePreset:
 
 LIH_RANGE = (0.9, 4.5)
 H3O_DIHEDRAL_RANGE = (-0.78, 0.78)
+# candidate rows (r1, r2, r3, theta12, theta13) for generate_h3o
+_H3O_LOW = (0.94,) * 3 + (1.83,) * 2
+_H3O_HIGH = (1.02,) * 3 + (1.99,) * 2
 
 
 def generate_lih(count: int, seed: int = 0, mirror: bool = True,
@@ -127,21 +133,36 @@ def generate_h2o(count: int, seed: int = 0) -> Dataset:
 
 
 def generate_h3o(count: int, seed: int = 0) -> Dataset:
+    """``count`` geometries whose dihedral targets step evenly across
+    H3O_DIHEDRAL_RANGE.  Candidates (three O-H bonds, two H-O-H angles) are
+    drawn and scanned in blocks; the next target goes to the next candidate
+    whose scan brackets it, so samples do not depend on the block size.
+    Generation gives up after 20 * count candidates miss their targets."""
+    if count < 1:
+        raise ArgumentError("count must be at least 1")
     rng = np.random.default_rng(seed)
     lo, hi = H3O_DIHEDRAL_RANGE
-    geoms = []
-    k = 0
-    while len(geoms) < count:
-        d = lo + (hi - lo) * (len(geoms) + 0.5) / count
-        r1, r2, r3 = rng.uniform(0.94, 1.02, size=3)
-        a12, a13 = rng.uniform(1.83, 1.99, size=2)
-        try:
-            geoms.append(hydronium_geometry(r1, r2, r3, a12, a13, d))
-        except ArgumentError:
-            k += 1
-            if k > 20 * count:
-                raise
-    return Dataset(_labelled(geoms, hydronium_oracle), ("O", "H", "H", "H"),
+    picked, targets, brackets = [], [], []
+    missed = 0
+    while len(picked) < count:
+        block = rng.uniform(_H3O_LOW, _H3O_HIGH,
+                            size=(min(64, 4 * (count - len(picked))), 5))
+        for cand, scan in zip(block, _hydronium_scan(block)):
+            d = lo + (hi - lo) * (len(picked) + 0.5) / count
+            found, *bracket = _hydronium_brackets(scan[None], np.array([d]))
+            if found[0]:
+                picked.append(cand)
+                targets.append(d)
+                brackets.append(bracket)
+                if len(picked) == count:
+                    break
+            else:
+                missed += 1
+                if missed > 20 * count:
+                    raise _no_placement(d)
+    geoms = _hydronium_polish(np.array(picked), np.array(targets),
+                              *np.concatenate(brackets, axis=1))
+    return Dataset(_labelled(list(geoms), hydronium_oracle), ("O", "H", "H", "H"),
                    preset="h3o", provenance="hydronium surrogate dihedral sweep")
 
 

@@ -457,4 +457,18 @@ def test_train_into_a_missing_directory_is_data_error(lih_file, tmp_path, capsys
     out = tmp_path / "no" / "such" / "m.json"
     assert run("train", "--data", lih_file, "--checkpoint", out,
                "--depth", 1, "--steps", 2) == 3
-    assert str(out.parent) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert str(out.parent) in captured.err
+    assert ".tmp" not in captured.err
+    assert "training" not in captured.out   # it failed before the fit
+
+
+def test_train_report_into_a_missing_directory_is_data_error(lih_file, tmp_path,
+                                                             capsys):
+    out = tmp_path / "no" / "such"
+    assert run("train", "--data", lih_file, "--checkpoint", tmp_path / "m.json",
+               "--out", out / "run", "--depth", 1, "--steps", 2) == 3
+    captured = capsys.readouterr()
+    assert str(out) in captured.err
+    assert "training" not in captured.out
+    assert not (tmp_path / "m.json").exists()

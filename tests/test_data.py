@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from qnnff import data, presets
 from qnnff.data import (
     Dataset,
     HydroniumParams,
@@ -21,9 +25,10 @@ from qnnff.data import (
     triatomic_geometry,
     triatomic_oracle,
 )
-from qnnff.descriptors import bond_angle, bond_length, dihedral
-from qnnff.errors import ArgumentError, DataError, DegenerateGeometryError
-from qnnff.presets import generate_lih
+from qnnff.descriptors import Dihedral, bond_angle, bond_length, dihedral
+from qnnff.errors import (ArgumentError, DataError, DegenerateGeometryError,
+                          NumericalError)
+from qnnff.presets import generate_h3o, generate_lih
 
 
 def lih_grid_dataset(count=170, lo=0.9, hi=4.5, mirror=True):
@@ -116,6 +121,176 @@ def test_hydronium_geometry_hits_targets():
     assert bond_angle(pos, 1, 0, 2)[0] == pytest.approx(1.9)
     assert bond_angle(pos, 1, 0, 3)[0] == pytest.approx(1.85)
     assert dihedral(pos, 0, 3, 2, 1)[0] == pytest.approx(-0.5, abs=1e-9)
+
+
+# A scalar reference for the hydronium placement: one geometry per grid
+# azimuth built with math.cos/math.sin, the first bracket found by a Python
+# loop, and its root by Brent's method.
+
+
+def _scalar_placement(r1, r2, r3, theta12, theta13):
+    """The azimuth grid, the geometry at an azimuth, and the dihedral over
+    (O, H3, H2, H1) on the grid, one geometry at a time."""
+    base = np.array([
+        [0.0, 0.0, 0.0],
+        [r1, 0.0, 0.0],
+        [r2 * math.cos(theta12), r2 * math.sin(theta12), 0.0],
+        [0.0, 0.0, 0.0],
+    ])
+
+    def with_azimuth(psi):
+        pos = base.copy()
+        pos[3] = r3 * np.array([
+            math.cos(theta13),
+            math.sin(theta13) * math.cos(psi),
+            math.sin(theta13) * math.sin(psi),
+        ])
+        return pos
+
+    grid = np.linspace(-np.pi + 0.05, np.pi - 0.05, 73)
+    scan = Dihedral(0, 3, 2, 1).batch(
+        np.stack([with_azimuth(psi) for psi in grid]))[0]
+    return grid, with_azimuth, scan
+
+
+def _brent_geometry(r1, r2, r3, theta12, theta13, d_target):
+    grid, with_azimuth, scan = _scalar_placement(r1, r2, r3, theta12, theta13)
+    vals = scan - d_target
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if np.isfinite(fa) and np.isfinite(fb) and fa * fb <= 0 and abs(fa - fb) < np.pi:
+            psi = brentq(lambda p: dihedral(with_azimuth(p), 0, 3, 2, 1)[0]
+                         - d_target, a, b, xtol=1e-12)
+            return with_azimuth(psi).ravel()
+    raise ArgumentError("no placement")
+
+
+def _brent_generate_h3o(count, seed):
+    """Cartesians of generate_h3o's stream, drawn and placed one candidate at
+    a time with the reference placement."""
+    rng = np.random.default_rng(seed)
+    lo, hi = presets.H3O_DIHEDRAL_RANGE
+    geoms, missed = [], 0
+    while len(geoms) < count:
+        d = lo + (hi - lo) * (len(geoms) + 0.5) / count
+        r1, r2, r3 = rng.uniform(0.94, 1.02, size=3)
+        a12, a13 = rng.uniform(1.83, 1.99, size=2)
+        try:
+            geoms.append(_brent_geometry(r1, r2, r3, a12, a13, d))
+        except ArgumentError:
+            missed += 1
+            assert missed <= 20 * count
+    return np.stack(geoms)
+
+
+def _h3o_candidates(n, seed):
+    """n candidate rows (r1, r2, r3, theta12, theta13) inside the preset's
+    ranges, with dihedral targets inside its sweep."""
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(presets._H3O_LOW, presets._H3O_HIGH, size=(n, 5))
+    return params, rng.uniform(*presets.H3O_DIHEDRAL_RANGE, size=n)
+
+
+def _dihedral_misses(geoms, targets):
+    d = np.array([dihedral(g.reshape(4, 3), 0, 3, 2, 1)[0] for g in geoms])
+    return np.abs(d - targets)
+
+
+def test_block_draw_equals_the_per_attempt_stream():
+    rng = np.random.default_rng(5)
+    per_attempt = [np.concatenate([rng.uniform(0.94, 1.02, size=3),
+                                   rng.uniform(1.83, 1.99, size=2)])
+                   for _ in range(150)]
+    rng = np.random.default_rng(5)
+    blocks = [rng.uniform(presets._H3O_LOW, presets._H3O_HIGH, size=(k, 5))
+              for k in (64, 86)]
+    assert np.array_equal(np.concatenate(blocks), np.stack(per_attempt))
+
+
+def test_bulk_scan_is_bitwise_the_one_candidate_and_scalar_scans():
+    params, _ = _h3o_candidates(40, seed=11)
+    bulk = data._hydronium_scan(params)
+    assert bulk.shape == (40, 73)
+    for row, scan in zip(params, bulk):
+        assert np.array_equal(scan, data._hydronium_scan(row[None])[0])
+        assert np.array_equal(scan, _scalar_placement(*row)[2])
+
+
+def test_placement_agrees_with_the_brent_reference():
+    params, targets = _h3o_candidates(300, seed=3)
+    placed = 0
+    for row, d in zip(params, targets):
+        try:
+            want = _brent_geometry(*row, d)
+        except ArgumentError:
+            with pytest.raises(ArgumentError, match="no hydronium placement"):
+                hydronium_geometry(*row, d)
+            continue
+        got = hydronium_geometry(*row, d)
+        assert np.max(np.abs(got - want)) <= 1e-10
+        assert _dihedral_misses([got], d)[0] <= 1e-12
+        placed += 1
+    assert 100 < placed < 300   # both outcomes are exercised
+
+
+@pytest.mark.parametrize("count,seed", [(16, s) for s in range(20)] + [(170, 0)])
+def test_generate_h3o_agrees_with_the_brent_reference(count, seed):
+    """The same candidates are accepted, so the same geometries come out.
+    Labels are the oracle's on the placed Cartesians.  Against the
+    reference's labels they agree only relatively: where O, H3 and H2 are
+    nearly collinear the dihedral's gradient reaches 1e6, and the reference's
+    Brent root (xtol 1e-12) misses its target by up to 1e-8 there."""
+    ds = generate_h3o(count, seed)
+    want = _brent_generate_h3o(count, seed)
+    got = ds.cartesians()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10
+    energies, forces = hydronium_oracle(got)
+    assert np.array_equal(ds.energies(), energies)
+    assert np.array_equal(ds.forces_matrix(), forces)
+    ref_e, ref_f = hydronium_oracle(want)
+    assert np.all(np.abs(energies - ref_e) <= 1e-10 + 1e-6 * np.abs(ref_e))
+    assert np.all(np.abs(forces - ref_f).max(axis=1)
+                  <= 1e-10 + 1e-6 * np.abs(ref_f).max(axis=1))
+    lo, hi = presets.H3O_DIHEDRAL_RANGE
+    targets = lo + (hi - lo) * (np.arange(count) + 0.5) / count
+    assert np.max(_dihedral_misses(got, targets)) <= 1e-12
+
+
+def test_generate_h3o_gives_up_after_20_misses_per_sample(monkeypatch):
+    monkeypatch.setattr(presets, "H3O_DIHEDRAL_RANGE", (3.2, 3.3))
+    tested = []
+
+    def brackets(scan, targets):
+        tested.append(len(scan))
+        return data._hydronium_brackets(scan, targets)
+
+    monkeypatch.setattr(presets, "_hydronium_brackets", brackets)
+    with pytest.raises(ArgumentError, match="reaches dihedral 3.225 rad"):
+        generate_h3o(2, seed=0)
+    assert sum(tested) == 20 * 2 + 1
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generate_h3o_needs_a_sample(count):
+    with pytest.raises(ArgumentError, match="at least 1"):
+        generate_h3o(count)
+
+
+@pytest.mark.parametrize("args", [
+    (0.98, 0.96, 0.0, 1.9, 1.85, 0.3),    # H3 on the oxygen
+    (0.98, 0.96, 1.0, 1.9, 0.0, 0.3),     # H3 on the O-H1 axis
+    (0.98, 0.96, 1.0, 0.0, 1.85, 0.3),    # H2 on the O-H1 axis
+])
+def test_degenerate_placement_raises_the_placement_error(args):
+    with pytest.raises(ArgumentError, match="no hydronium placement reaches "
+                       "dihedral 0.300 rad with the given bonds and angles"):
+        hydronium_geometry(*args)
+
+
+def test_unconverged_placement_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(data, "_POLISH_STEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        hydronium_geometry(0.98, 0.96, 1.02, 1.9, 1.85, -0.5)
 
 
 def test_fd_forces_exact_for_quadratic():

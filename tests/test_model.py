@@ -166,6 +166,15 @@ def test_failed_save_keeps_earlier_checkpoint(tmp_path, lih_setup):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
+def test_save_into_a_missing_directory_names_the_checkpoint(tmp_path, lih_setup):
+    _, _, model = lih_setup
+    path = tmp_path / "no" / "m.json"
+    with pytest.raises(CheckpointError, match="cannot write checkpoint") as err:
+        save_checkpoint(model, path)
+    assert str(path) in str(err.value)
+    assert ".tmp" not in str(err.value)
+
+
 def test_checkpoint_truncated_file(tmp_path, lih_setup):
     _, _, model = lih_setup
     path = tmp_path / "model.json"
