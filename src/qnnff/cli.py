@@ -338,7 +338,7 @@ def cmd_md(args) -> None:
         dataset = load_dataset(args.data)
         if ff is not None:
             _check_molecule(ff, dataset, args.data)
-        x0 = dataset.samples[0].cartesian
+        x0 = dataset.cartesians()[0]
         if args.oracle:
             from .data import hydronium_oracle, triatomic_oracle
 

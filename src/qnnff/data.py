@@ -28,18 +28,19 @@ round-trip precision, so save/load is bit exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import (Angle, Bond, Dihedral, bond_length,
-                          internal_coordinates)
+from .descriptors import Angle, Bond, Dihedral, internal_coordinates
 from .errors import ArgumentError, DataError, NumericalError
 
 
 @dataclass
 class Sample:
-    """One labelled configuration: flat Cartesian vector, energy, forces."""
+    """One labelled configuration: flat Cartesian vector, energy, forces.
+    One built by hand is checked; ``Dataset.samples`` gives views of checked
+    columns, which are not checked again."""
 
     cartesian: np.ndarray
     energy: float
@@ -48,39 +49,84 @@ class Sample:
     def __post_init__(self):
         self.cartesian = np.asarray(self.cartesian, dtype=float).ravel()
         self.energy = float(self.energy)
-        if not np.all(np.isfinite(self.cartesian)) or not math.isfinite(self.energy):
-            raise DataError("non-finite sample data")
         if self.forces is not None:
             self.forces = np.asarray(self.forces, dtype=float).ravel()
-            if self.forces.shape != self.cartesian.shape:
-                raise DataError(
-                    f"forces length {self.forces.size} does not match "
-                    f"{self.cartesian.size} coordinates"
-                )
-            if not np.all(np.isfinite(self.forces)):
-                raise DataError("non-finite forces")
+        _check_rows(self.cartesian[None], np.array([self.energy]),
+                    None if self.forces is None else self.forces[None],
+                    self.cartesian.size, lambda i: "sample")
 
 
-@dataclass
+def _check_rows(cartesian, energy, forces, width: int, name) -> None:
+    """The one check of labelled rows: cartesian (B, width), energy (B,) and
+    forces like cartesian or None, all finite.  ``name(i)`` names row i."""
+    if not len(energy):
+        raise DataError("dataset needs at least one sample")
+    if (energy.ndim != 1 or cartesian.shape != (len(energy), width)
+            or forces is not None and forces.shape != cartesian.shape):
+        shapes = [c.shape for c in (cartesian, energy, forces) if c is not None]
+        raise DataError(f"columns of shapes {shapes} do not fit {width} "
+                        "coordinates per sample")
+    finite = np.isfinite(cartesian).all(axis=1) & np.isfinite(energy)
+    if forces is not None:
+        finite &= np.isfinite(forces).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{name(int(finite.argmin()))}: non-finite "
+                        "coordinates, energy or forces")
+
+
 class Dataset:
-    samples: list[Sample]
-    elements: tuple[str, ...]
-    preset: str = "custom"
-    provenance: str = ""
+    """Labelled configurations as three read-only columns, checked once:
+    ``cartesian`` (B, 3n), ``energy`` (B,) and ``forces`` (B, 3n), or None
+    when unlabelled.  Force labels are all or none."""
 
-    def __post_init__(self):
-        if not self.samples:
-            raise DataError("dataset needs at least one sample")
-        self.elements = tuple(self.elements)
-        want = 3 * len(self.elements)
-        for s in self.samples:
-            if s.cartesian.size != want:
-                raise DataError(
-                    f"sample has {s.cartesian.size} coordinates, expected {want}"
-                )
+    def __init__(self, samples, elements, preset: str = "custom",
+                 provenance: str = ""):
+        """Stack a list of ``Sample`` into columns."""
+        labelled = [s.forces is not None for s in samples]
+        if any(labelled) and not all(labelled):
+            raise DataError(f"sample {labelled.index(False)} has no force "
+                            "labels, but other samples have")
+        if len({s.cartesian.size for s in samples}) > 1:
+            raise DataError("samples differ in their number of coordinates")
+        vars(self).update(vars(Dataset.from_columns(
+            [s.cartesian for s in samples], [s.energy for s in samples],
+            [s.forces for s in samples] if any(labelled) else None,
+            elements, preset, provenance)))
+
+    @classmethod
+    def from_columns(cls, cartesian, energy, forces, elements,
+                     preset: str = "custom", provenance: str = "",
+                     name="sample {}".format) -> "Dataset":
+        """The dataset of read-only copies of these columns; ``name(i)``
+        names row i in the check's message."""
+        columns = [None if c is None else np.array(c, dtype=float)
+                   for c in (cartesian, energy, forces)]
+        _check_rows(*columns, 3 * len(elements), name)
+        for column in columns:
+            if column is not None:
+                column.flags.writeable = False
+        dataset = cls.__new__(cls)
+        dataset.cartesian, dataset.energy, dataset.forces = columns
+        dataset.elements, dataset.preset = tuple(elements), preset
+        dataset.provenance = provenance
+        return dataset
+
+    def take(self, rows) -> "Dataset":
+        """The rows at these indices, or under this mask, in order."""
+        return Dataset.from_columns(
+            self.cartesian[rows], self.energy[rows],
+            None if self.forces is None else self.forces[rows],
+            self.elements, self.preset, self.provenance)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as ``Sample`` views of the columns."""
+        forces = [None] * len(self) if self.forces is None else self.forces
+        rows = zip(self.cartesian, self.energy.tolist(), forces)
+        return [_row(*row) for row in rows]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.energy)
 
     @property
     def num_atoms(self) -> int:
@@ -88,18 +134,25 @@ class Dataset:
 
     @property
     def has_forces(self) -> bool:
-        return all(s.forces is not None for s in self.samples)
+        return self.forces is not None
 
     def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
+        return self.energy
 
     def cartesians(self) -> np.ndarray:
-        return np.stack([s.cartesian for s in self.samples])
+        return self.cartesian
 
     def forces_matrix(self) -> np.ndarray:
-        if not self.has_forces:
+        if self.forces is None:
             raise DataError("dataset has samples without force labels")
-        return np.stack([s.forces for s in self.samples])
+        return self.forces
+
+
+def _row(cartesian, energy, forces) -> Sample:
+    """A ``Sample`` of checked values, built without the check."""
+    row = object.__new__(Sample)
+    row.cartesian, row.energy, row.forces = cartesian, energy, forces
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +388,7 @@ def mirror_augment(dataset: Dataset, mirror_point: float) -> Dataset:
     """
     if dataset.num_atoms != 2:
         raise ArgumentError("mirroring is defined for diatomic datasets")
-    carts = dataset.cartesians()
+    carts = dataset.cartesian
     r = internal_coordinates((Bond(0, 1),), carts)[0][:, 0]
     beyond = np.flatnonzero(r > mirror_point + 1e-12)
     if beyond.size:
@@ -347,23 +400,16 @@ def mirror_augment(dataset: Dataset, mirror_point: float) -> Dataset:
     pos, rk = carts[keep].reshape(-1, 2, 3), r[keep, None]
     pos[:, 1] = (pos[:, 0]
                  + (pos[:, 1] - pos[:, 0]) / rk * (2.0 * mirror_point - rk))
-    mirrored = [Sample(p.ravel(), s.energy,
-                       None if s.forces is None else -s.forces)
-                for p, s in zip(pos, (dataset.samples[k] for k in keep))]
-    return Dataset(
-        samples=list(dataset.samples) + mirrored,
-        elements=dataset.elements,
-        preset=dataset.preset,
-        provenance=dataset.provenance,
-    )
+    forces = dataset.forces
+    return Dataset.from_columns(
+        np.concatenate([carts, pos.reshape(-1, carts.shape[1])]),
+        np.concatenate([dataset.energy, dataset.energy[keep]]),
+        None if forces is None else np.concatenate([forces, -forces[keep]]),
+        dataset.elements, dataset.preset, dataset.provenance)
 
 
 # ---------------------------------------------------------------------------
 # Persistence and splitting.
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
 
 def save_dataset(dataset: Dataset, path) -> None:
     tokens = [str(dataset.num_atoms), *dataset.elements,
@@ -373,12 +419,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     lines = [" ".join(tokens)]
     if dataset.provenance:
         lines.append(f"# provenance: {dataset.provenance}")
-    with_forces = dataset.has_forces
-    for s in dataset.samples:
-        row = [_fmt(v) for v in s.cartesian] + [_fmt(s.energy)]
-        if with_forces:
-            row += [_fmt(v) for v in s.forces]
-        lines.append(" ".join(row))
+    columns = [dataset.cartesian, dataset.energy[:, None]]
+    if dataset.has_forces:
+        columns.append(dataset.forces)
+    lines += [" ".join(map(repr, row)) for row in np.hstack(columns).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -408,26 +452,25 @@ def load_dataset(path) -> Dataset:
         provenance = lines[1][len("# provenance:"):].strip()
         body_start = 2
     want = 3 * n_atoms + 1 + (3 * n_atoms if with_forces else 0)
-    samples = []
-    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        parts = line.split()
+    linenos = [n for n, line in enumerate(lines, start=1)
+               if n > body_start and line.strip()]
+    if not linenos:
+        raise DataError(f"{path}: no samples")
+    rows = []
+    for lineno in linenos:
+        parts = lines[lineno - 1].split()
         if len(parts) != want:
             raise DataError(
                 f"{path}: row {lineno}: expected {want} columns, got {len(parts)}"
             )
         try:
-            vals = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise DataError(f"{path}: row {lineno}: {exc}") from exc
-        cart = np.array(vals[: 3 * n_atoms])
-        energy = vals[3 * n_atoms]
-        forces = np.array(vals[3 * n_atoms + 1:]) if with_forces else None
-        samples.append(Sample(cart, energy, forces))
-    if not samples:
-        raise DataError(f"{path}: no samples")
-    return Dataset(samples, elements, preset=preset, provenance=provenance)
+    table, k = np.array(rows), 3 * n_atoms
+    return Dataset.from_columns(
+        table[:, :k], table[:, k], table[:, k + 1:] if with_forces else None,
+        elements, preset, provenance, name=lambda i: f"{path}: row {linenos[i]}")
 
 
 def train_test_split(dataset: Dataset, n_train: int, seed: int = 0):
@@ -437,20 +480,16 @@ def train_test_split(dataset: Dataset, n_train: int, seed: int = 0):
             f"n_train={n_train} infeasible for {len(dataset)} samples"
         )
     order = np.random.default_rng(seed).permutation(len(dataset))
-    pick = lambda idx: [dataset.samples[i] for i in idx]
-    common = dict(elements=dataset.elements, preset=dataset.preset,
-                  provenance=dataset.provenance)
-    return (Dataset(pick(order[:n_train]), **common),
-            Dataset(pick(order[n_train:]), **common))
+    return dataset.take(order[:n_train]), dataset.take(order[n_train:])
 
 
 def filter_bond_range(dataset: Dataset, i: int, j: int, lo: float, hi: float) -> Dataset:
     """Keep samples whose i-j bond length lies inside [lo, hi] (units as given)."""
-    kept = [s for s in dataset.samples
-            if lo <= bond_length(s.cartesian.reshape(-1, 3), i, j)[0] <= hi]
-    if not kept:
+    r = internal_coordinates((Bond(i, j),), dataset.cartesian)[0][:, 0]
+    kept = (lo <= r) & (r <= hi)
+    if not kept.any():
         raise DataError("bond-range filter removed every sample")
-    return Dataset(kept, dataset.elements, dataset.preset, dataset.provenance)
+    return dataset.take(kept)
 
 
 # Converter stub for external ab initio dumps: register a parser that maps a

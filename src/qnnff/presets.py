@@ -16,7 +16,6 @@ and generation ranges for each supported system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from .circuit import (
 )
 from .data import (
     Dataset,
-    Sample,
     _hydronium_brackets,
     _hydronium_polish,
     _hydronium_scan,
@@ -107,29 +105,19 @@ def generate_lih(count: int, seed: int = 0, mirror: bool = True,
     geoms, labels = np.zeros((2, base, 6))
     geoms[:, 3] = rs
     labels[:, 0], labels[:, 3] = -forces, forces
-    samples = [Sample(*s) for s in zip(geoms, energies, labels)]
-    ds = Dataset(samples, ("Li", "H"), preset="lih",
-                 provenance="morse surrogate grid")
+    ds = Dataset.from_columns(geoms, energies, labels, ("Li", "H"), preset="lih",
+                              provenance="morse surrogate grid")
     return mirror_augment(ds, hi) if mirror else ds
 
 
-def _labelled(geoms: list, oracle) -> list:
-    """Samples of the drawn geometries, labelled by one batched oracle call."""
-    if not geoms:
-        raise ArgumentError("count must be at least 1")
-    energies, forces = oracle(np.stack(geoms))
-    return [Sample(g, e, f) for g, e, f in zip(geoms, energies, forces)]
-
-
 def generate_h2o(count: int, seed: int = 0) -> Dataset:
-    rng = np.random.default_rng(seed)
-    geoms = []
-    for _ in range(count):
-        r1, r2 = rng.uniform(0.87, 1.05, size=2)
-        theta = rng.uniform(1.62, 2.02)
-        geoms.append(triatomic_geometry(r1, r2, theta))
-    return Dataset(_labelled(geoms, triatomic_oracle), ("O", "H", "H"),
-                   preset="h2o", provenance="harmonic surrogate samples")
+    if count < 1:
+        raise ArgumentError("count must be at least 1")
+    draws = np.random.default_rng(seed).uniform(    # rows (r1, r2, theta)
+        (0.87, 0.87, 1.62), (1.05, 1.05, 2.02), size=(count, 3))
+    geoms = np.array([triatomic_geometry(*row) for row in draws.tolist()])
+    return Dataset.from_columns(geoms, *triatomic_oracle(geoms), ("O", "H", "H"),
+                                "h2o", "harmonic surrogate samples")
 
 
 def generate_h3o(count: int, seed: int = 0) -> Dataset:
@@ -142,28 +130,27 @@ def generate_h3o(count: int, seed: int = 0) -> Dataset:
         raise ArgumentError("count must be at least 1")
     rng = np.random.default_rng(seed)
     lo, hi = H3O_DIHEDRAL_RANGE
-    picked, targets, brackets = [], [], []
-    missed = 0
+    targets = lo + (hi - lo) * (np.arange(count) + 0.5) / count
+    picked, scans, missed = [], [], 0
     while len(picked) < count:
         block = rng.uniform(_H3O_LOW, _H3O_HIGH,
                             size=(min(64, 4 * (count - len(picked))), 5))
         for cand, scan in zip(block, _hydronium_scan(block)):
-            d = lo + (hi - lo) * (len(picked) + 0.5) / count
-            found, *bracket = _hydronium_brackets(scan[None], np.array([d]))
-            if found[0]:
+            d = targets[len(picked)]
+            if _hydronium_brackets(scan[None], d[None])[0][0]:
                 picked.append(cand)
-                targets.append(d)
-                brackets.append(bracket)
+                scans.append(scan)
                 if len(picked) == count:
                     break
             else:
                 missed += 1
                 if missed > 20 * count:
                     raise _no_placement(d)
-    geoms = _hydronium_polish(np.array(picked), np.array(targets),
-                              *np.concatenate(brackets, axis=1))
-    return Dataset(_labelled(list(geoms), hydronium_oracle), ("O", "H", "H", "H"),
-                   preset="h3o", provenance="hydronium surrogate dihedral sweep")
+    _, *brackets = _hydronium_brackets(np.array(scans), targets)
+    geoms = _hydronium_polish(np.array(picked), targets, *brackets)
+    return Dataset.from_columns(geoms, *hydronium_oracle(geoms),
+                                ("O", "H", "H", "H"), "h3o",
+                                "hydronium surrogate dihedral sweep")
 
 
 PRESETS = {

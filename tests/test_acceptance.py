@@ -36,7 +36,7 @@ from qnnff.model import bond_energy_force, initialized_model
 from qnnff.presets import generate_lih, get_preset, reduced_mass
 from qnnff.train import AdamConfig, LossSpec, adam_fit
 
-from conftest import central_diff
+from helpers import central_diff
 
 
 def report(num, name, ok, detail=""):

@@ -20,7 +20,7 @@ from qnnff.errors import ArgumentError
 from qnnff.presets import generate_lih, get_preset
 from qnnff.train import AdamConfig, adam_minimize
 
-from conftest import central_diff
+from helpers import central_diff
 
 
 def test_param_count_formula():

@@ -20,7 +20,7 @@ from qnnff.circuit import (
 )
 from qnnff.errors import ArgumentError
 
-from conftest import circuit_matrix
+from helpers import circuit_matrix
 
 
 def lih_like_template(depth=10):

@@ -175,6 +175,16 @@ def test_eval_missing_forces_is_data_error(tmp_path, tiny_checkpoint):
     assert code == 3
 
 
+def test_train_names_the_non_finite_row(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("2 Li H forces=1 preset=lih\n0 0 0 1 0 0 1.5 0 0 0 0 0 0\n"
+                    "0 0 0 1.2 0 0 nan 0 0 0 0 0 0\n")
+    code = run("train", "--data", path, "--checkpoint", tmp_path / "m.json",
+               "--steps", 1)
+    assert code == 3
+    assert f"data error: {path}: row 3: non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval", "effdim"])
 @pytest.mark.parametrize("preset, tag", [("h2o", "h2o"), ("lih", "h2o")])
 def test_checkpoint_rejects_another_molecule(tmp_path, tiny_checkpoint, command,

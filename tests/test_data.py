@@ -363,6 +363,7 @@ def test_mirror_point_sample_not_duplicated():
     ds = Dataset(samples, ("Li", "H"))
     out = mirror_augment(ds, 4.5)
     assert len(out) == 3
+    assert len(mirror_augment(Dataset(samples[1:], ("Li", "H")), 4.5)) == 1
 
 
 def test_mirror_rejects_samples_beyond_point():
@@ -418,20 +419,22 @@ def test_lih_grid_equals_per_sample_labelling(count, mirror):
 
 
 def test_mirror_equals_per_sample_reflection(rng):
-    # random orientations and offsets, a sample on the mirror point every
-    # seventh, and force labels on every other sample
-    samples = []
+    # random orientations and offsets and a sample on the mirror point every
+    # seventh; force labels are all or none, so both kinds are reflected
+    rows = []
     for k in range(30):
         d = rng.normal(size=3)
         r = 4.5 if k % 7 == 0 else rng.uniform(0.5, 4.5)
         a = rng.normal(size=3)
-        forces = None if k % 2 else rng.normal(size=6)
-        samples.append(Sample(np.concatenate([a, a + r * d / np.linalg.norm(d)]),
-                              rng.normal(), forces))
-    ds = Dataset(samples, ("Li", "H"))
-    out = mirror_augment(ds, 4.5)
-    assert len(out) == 30 + 30 - 5
-    _assert_bitwise(out.samples, _reference_mirror(ds, 4.5))
+        rows.append((np.concatenate([a, a + r * d / np.linalg.norm(d)]),
+                     rng.normal(), rng.normal(size=6)))
+    for labelled in (True, False):
+        ds = Dataset([Sample(c, e, f if labelled else None) for c, e, f in rows],
+                     ("Li", "H"))
+        out = mirror_augment(ds, 4.5)
+        assert len(out) == 30 + 30 - 5
+        assert out.has_forces == labelled
+        _assert_bitwise(out.samples, _reference_mirror(ds, 4.5))
 
 
 def test_mirror_force_antisymmetry():
@@ -444,27 +447,94 @@ def test_mirror_force_antisymmetry():
             assert np.allclose(partner.forces, -s.forces, atol=1e-12)
 
 
-def test_save_load_round_trip(tmp_path):
-    ds = lih_grid_dataset(count=30)
-    ds.provenance = "unit-test grid"
-    path = tmp_path / "lih.txt"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.elements == ds.elements
-    assert back.preset == ds.preset
-    assert back.provenance == ds.provenance
-    assert len(back) == len(ds)
-    for a, b in zip(ds.samples, back.samples):
-        assert np.array_equal(a.cartesian, b.cartesian)
-        assert a.energy == b.energy
-        assert np.array_equal(a.forces, b.forces)
+def _columns(ds):
+    return ds.cartesians(), ds.energies(), ds.forces
+
+
+def _assert_same_columns(ds, other):
+    for a, b in zip(_columns(ds), _columns(other)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: generate_lih(170, mirror=True),
+                                  lambda: presets.generate_h2o(24),
+                                  lambda: generate_h3o(16)],
+                         ids=["lih", "h2o", "h3o"])
+def test_save_load_round_trip(tmp_path, make):
+    ds = make()
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_dataset(ds, first)
+    back = load_dataset(first)
+    save_dataset(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert (back.elements, back.preset, back.provenance) == (
+        ds.elements, ds.preset, ds.provenance)
+    _assert_same_columns(ds, back)
+    # the list constructor stacks the row views into the same columns
+    _assert_same_columns(ds, Dataset(ds.samples, ds.elements, ds.preset,
+                                     ds.provenance))
 
 
 def test_load_malformed_row_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("2 Li H forces=0\n0 0 0 1 0 0 1.5\n0 0 0 oops 0 0 1.5\n")
-    with pytest.raises(DataError, match="row 3"):
-        load_dataset(path)
+    zeros = " 0" * 6
+    cases = [("2 Li H forces=0\n0 0 0 1 0 0 1.5\n0 0 0 oops 0 0 1.5\n", 3),
+             (f"2 Li H forces=1\n# provenance: test\n0 0 0 1 0 0 1.5{zeros}\n"
+              f"\n0 0 0 1.2 0 0 nan{zeros}\n", 5),
+             (f"2 Li H forces=1\n0 0 0 1 0 0 1.5{zeros}\n"
+              f"0 0 0 1.2 0 0 1.5 0 0 inf 0 0 0\n", 3)]
+    for text, row in cases:
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}: row {row}: ")
+
+
+@pytest.mark.parametrize("labelled", [(True, False, True), (False, True, True)])
+def test_dataset_rejects_samples_that_disagree_on_forces(labelled):
+    samples = [Sample(diatomic_geometry(1.0 + k), 1.0,
+                      np.zeros(6) if has else None)
+               for k, has in enumerate(labelled)]
+    first = labelled.index(False)
+    with pytest.raises(DataError, match=f"sample {first} has no force labels"):
+        Dataset(samples, ("Li", "H"))
+
+
+def test_columns_are_read_only_copies():
+    geoms = np.array([diatomic_geometry(1.0), diatomic_geometry(2.0)])
+    ds = Dataset.from_columns(geoms, [1.0, 2.0], np.zeros((2, 6)), ("Li", "H"))
+    geoms[0, 3] = 9.0       # the caller's array stays the caller's
+    assert ds.cartesians()[0, 3] == 1.0
+    row = ds.samples[1]
+    for column in (ds.cartesians(), ds.energies(), ds.forces_matrix(),
+                   row.cartesian, row.forces):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    assert ds.cartesians() is ds.cartesians()
+
+
+def test_datasets_are_checked_once_and_build_no_sample(monkeypatch, tmp_path):
+    """Generators, split, filter, mirror, load and row views construct no
+    checked ``Sample``; each dataset runs the row check once."""
+    built, checks = [], []
+    post_init, check_rows = Sample.__post_init__, data._check_rows
+    monkeypatch.setattr(Sample, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(data, "_check_rows",
+                        lambda *a: checks.append(a) or check_rows(*a))
+    lih = generate_lih(170, mirror=True)            # the grid, then mirrored
+    h2o, h3o = presets.generate_h2o(24), generate_h3o(16)
+    split = train_test_split(lih, 50)
+    kept = filter_bond_range(lih, 0, 1, 1.5, 2.5)
+    mirrored = mirror_augment(generate_lih(20, mirror=False), 4.5)
+    save_dataset(h3o, tmp_path / "h3o.txt")
+    loaded = load_dataset(tmp_path / "h3o.txt")
+    for ds in (lih, h2o, h3o, *split, kept, mirrored, loaded):
+        assert len(ds.samples) == len(ds)
+    assert built == []
+    assert len(checks) == 10
 
 
 def test_split_sizes_and_disjointness():
@@ -519,3 +589,12 @@ def test_sample_validation():
         Sample(np.array([0.0, np.nan, 0.0]), 1.0)
     with pytest.raises(DataError):
         Sample(np.zeros(6), 1.0, np.zeros(3))
+    with pytest.raises(DataError):
+        Sample(np.zeros(6), 1.0, np.full(6, np.nan))
+    with pytest.raises(DataError, match="do not fit 6 coordinates"):
+        Dataset([Sample(np.zeros(9), 1.0)], ("Li", "H"))
+    with pytest.raises(DataError, match="differ in their number"):
+        Dataset([Sample(np.zeros(6), 1.0), Sample(np.zeros(9), 1.0)],
+                ("Li", "H"))
+    with pytest.raises(DataError, match="at least one sample"):
+        Dataset([], ("Li", "H"))

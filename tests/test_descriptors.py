@@ -18,7 +18,7 @@ from qnnff.descriptors import (
 )
 from qnnff.errors import ArgumentError, DegenerateGeometryError, ScalerError
 
-from conftest import central_diff
+from helpers import central_diff
 
 
 def lih_pipeline(bounds=((0.9, 4.5),)):

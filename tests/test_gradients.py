@@ -22,8 +22,8 @@ from qnnff.gradients import (
 )
 from hypothesis import given, settings, strategies as st
 
-from conftest import (central_diff, circuit_matrix, draw_point,
-                      random_template)
+from helpers import (central_diff, circuit_matrix, draw_point,
+                     random_template)
 
 
 def single_ry_template(depth=1):

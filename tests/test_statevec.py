@@ -13,7 +13,7 @@ from qnnff.statevec import (
     ry,
 )
 
-from conftest import circuit_matrix, random_gate_sequence
+from helpers import circuit_matrix, random_gate_sequence
 
 
 def test_init_zero_single_qubit():

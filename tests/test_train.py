@@ -22,7 +22,7 @@ from qnnff.train import (
     zero_init,
 )
 
-from conftest import central_diff
+from helpers import central_diff
 
 
 def small_lih_model(depth=2, count=24):
