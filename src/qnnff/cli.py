@@ -256,22 +256,21 @@ def _build_mlp(preset, args, train_set, chi):
                                             "family": "mlp"})
 
 
-def _check_molecule(ff, dataset, path) -> None:
-    """A checkpoint takes only its own molecule's geometries: its pipeline
-    reads only the atoms it names, so an atom count would pass h2o to LiH."""
-    name = ff.metadata.get("preset")
+def _check_molecule(name, dataset, path, whose="the checkpoint models") -> None:
+    """A run takes only its own molecule's geometries: a pipeline reads only
+    the atoms it names, so an atom count would pass h2o to LiH."""
     if name is not None and (
             dataset.preset not in ("custom", name)
             or name in PRESETS and dataset.elements != PRESETS[name].elements):
         raise ArgumentError(
             f"{path} holds {dataset.preset} geometries "
-            f"({' '.join(dataset.elements)}), but the checkpoint models {name}")
+            f"({' '.join(dataset.elements)}), but {whose} {name}")
 
 
 def cmd_eval(args) -> None:
     ff = model_mod.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _check_molecule(ff, dataset, args.data)
+    _check_molecule(ff.metadata.get("preset"), dataset, args.data)
     if args.forces and not dataset.has_forces:
         raise DataError(f"{args.data} has no force labels but --forces was given")
     energies, forces = train.predict_dataset(ff, dataset, with_forces=True)
@@ -295,7 +294,7 @@ def cmd_eval(args) -> None:
 def cmd_effdim(args) -> None:
     ff = model_mod.load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _check_molecule(ff, dataset, args.data)
+    _check_molecule(ff.metadata.get("preset"), dataset, args.data)
     n = len(dataset) if args.n is None else args.n
     report = capacity.effective_dimension(
         lambda theta, x: ff.sweep(x, theta, params=True, value=False)[1],
@@ -311,13 +310,15 @@ def cmd_effdim(args) -> None:
 def cmd_md(args) -> None:
     if args.checkpoint is None and not args.oracle:
         raise ArgumentError("md needs --checkpoint or --oracle")
-    preset_name = args.preset
-    ff = None
-    if args.checkpoint is not None:
-        ff = model_mod.load_checkpoint(args.checkpoint)
-        preset_name = preset_name or ff.metadata.get("preset")
+    ff = None if args.checkpoint is None else model_mod.load_checkpoint(
+        args.checkpoint)
+    modelled = None if ff is None else ff.metadata.get("preset")
+    preset_name = args.preset or modelled
     if preset_name is None:
         raise ArgumentError("cannot infer the molecule preset; pass --preset")
+    if modelled not in (None, preset_name):
+        raise ArgumentError(f"--preset {preset_name} contradicts the "
+                            f"checkpoint, which models {modelled}")
     preset = get_preset(preset_name)
     if len(preset.elements) == 2:
         from .data import morse_oracle
@@ -336,8 +337,7 @@ def cmd_md(args) -> None:
             raise ArgumentError(
                 "Cartesian MD needs --data for the initial geometry")
         dataset = load_dataset(args.data)
-        if ff is not None:
-            _check_molecule(ff, dataset, args.data)
+        _check_molecule(preset_name, dataset, args.data, "md runs")
         x0 = dataset.cartesians()[0]
         if args.oracle:
             from .data import hydronium_oracle, triatomic_oracle

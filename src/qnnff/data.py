@@ -3,8 +3,7 @@
 The analytic oracles (Morse diatomic, harmonic triatomic, hydronium with a
 double-well umbrella term) stand in for ab initio labels so that every
 pipeline stage can be exercised end to end without external chemistry codes.
-Externally produced datasets are ingested either from the native file format
-below or through a user-registered converter.
+Externally produced datasets are ingested from the native file format below.
 
 Hydronium geometries are placed from internal coordinates: H3 sits on the
 cone of half-angle theta13 around the O-H1 axis, and its azimuth is found in
@@ -39,21 +38,11 @@ from .errors import ArgumentError, DataError, NumericalError
 @dataclass
 class Sample:
     """One labelled configuration: flat Cartesian vector, energy, forces.
-    One built by hand is checked; ``Dataset.samples`` gives views of checked
-    columns, which are not checked again."""
+    A plain record; its values are checked when it enters a ``Dataset``."""
 
     cartesian: np.ndarray
     energy: float
     forces: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.cartesian = np.asarray(self.cartesian, dtype=float).ravel()
-        self.energy = float(self.energy)
-        if self.forces is not None:
-            self.forces = np.asarray(self.forces, dtype=float).ravel()
-        _check_rows(self.cartesian[None], np.array([self.energy]),
-                    None if self.forces is None else self.forces[None],
-                    self.cartesian.size, lambda i: "sample")
 
 
 def _check_rows(cartesian, energy, forces, width: int, name) -> None:
@@ -81,13 +70,15 @@ class Dataset:
 
     def __init__(self, samples, elements, preset: str = "custom",
                  provenance: str = ""):
-        """Stack a list of ``Sample`` into columns."""
+        """Stack a list of ``Sample`` into columns, where they are checked."""
         labelled = [s.forces is not None for s in samples]
         if any(labelled) and not all(labelled):
             raise DataError(f"sample {labelled.index(False)} has no force "
                             "labels, but other samples have")
-        if len({s.cartesian.size for s in samples}) > 1:
-            raise DataError("samples differ in their number of coordinates")
+        if len({x.size for s in samples for x in (s.cartesian, s.forces)
+                if x is not None}) > 1:
+            raise DataError("samples differ in their number of coordinates "
+                            "or force components")
         vars(self).update(vars(Dataset.from_columns(
             [s.cartesian for s in samples], [s.energy for s in samples],
             [s.forces for s in samples] if any(labelled) else None,
@@ -123,7 +114,7 @@ class Dataset:
         """The rows as ``Sample`` views of the columns."""
         forces = [None] * len(self) if self.forces is None else self.forces
         rows = zip(self.cartesian, self.energy.tolist(), forces)
-        return [_row(*row) for row in rows]
+        return [Sample(*row) for row in rows]
 
     def __len__(self) -> int:
         return len(self.energy)
@@ -146,13 +137,6 @@ class Dataset:
         if self.forces is None:
             raise DataError("dataset has samples without force labels")
         return self.forces
-
-
-def _row(cartesian, energy, forces) -> Sample:
-    """A ``Sample`` of checked values, built without the check."""
-    row = object.__new__(Sample)
-    row.cartesian, row.energy, row.forces = cartesian, energy, forces
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +474,3 @@ def filter_bond_range(dataset: Dataset, i: int, j: int, lo: float, hi: float) ->
     if not kept.any():
         raise DataError("bond-range filter removed every sample")
     return dataset.take(kept)
-
-
-# Converter stub for external ab initio dumps: register a parser that maps a
-# file to (samples, elements), then load through it.
-_CONVERTERS: dict[str, callable] = {}
-
-
-def register_converter(name: str, parser) -> None:
-    _CONVERTERS[name] = parser
-
-
-def load_external(path, converter: str, **kwargs) -> Dataset:
-    if converter not in _CONVERTERS:
-        raise ArgumentError(
-            f"no converter {converter!r} registered; known: {sorted(_CONVERTERS)}"
-        )
-    samples, elements = _CONVERTERS[converter](path, **kwargs)
-    return Dataset(list(samples), tuple(elements), preset="custom",
-                   provenance=f"converted:{converter}:{path}")

@@ -292,6 +292,52 @@ def test_md_requires_source(tmp_path):
     assert run("md", "--preset", "lih") == 2
 
 
+@pytest.fixture(scope="module")
+def h2o_checkpoint(tmp_path_factory, h2o_file):
+    out = tmp_path_factory.mktemp("cli") / "h2o.json"
+    assert run("train", "--data", h2o_file, "--checkpoint", out, "--depth", 2,
+               "--steps", 3, "--optimizer", "adam", "--chi", 0) == 0
+    return out
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "--preset", "h2o"]])
+def test_md_cartesian_runs(tmp_path, h2o_file, h2o_checkpoint, oracle, capsys):
+    from qnnff.dynamics import read_trajectory
+
+    for name in ("a.txt", "b.txt"):
+        assert run("md", "--checkpoint", h2o_checkpoint, *oracle, "--data",
+                   h2o_file, "--steps", 20, "--dt", 0.01,
+                   "--out", tmp_path / name) == 0
+    wrote, reach = capsys.readouterr().out.splitlines()[:2]
+    assert wrote.startswith(f"wrote 21 frames to {tmp_path / 'a.txt'}; ")
+    assert np.isfinite(float(wrote.split()[-2]))
+    assert reach.startswith("largest |scaled coordinate| ")
+    assert len(read_trajectory(tmp_path / "a.txt")) == 21
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def test_md_rejects_a_preset_the_checkpoint_does_not_model(
+        tmp_path, h2o_checkpoint, capsys):
+    assert run("md", "--checkpoint", h2o_checkpoint, "--preset", "lih",
+               "--steps", 2, "--out", tmp_path / "traj.txt") == 2
+    assert ("--preset lih contradicts the checkpoint, which models h2o"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "traj.txt").exists()
+
+
+@pytest.mark.parametrize("source, message", [
+    ("checkpoint", "--preset h3o contradicts the checkpoint, which models h2o"),
+    ("oracle", "holds h2o geometries (O H H), but md runs h3o")])
+def test_md_rejects_data_of_another_molecule(tmp_path, h2o_file, h2o_checkpoint,
+                                             source, message, capsys):
+    driver = (["--checkpoint", h2o_checkpoint] if source == "checkpoint"
+              else ["--oracle"])
+    assert run("md", *driver, "--preset", "h3o", "--data", h2o_file,
+               "--steps", 2, "--out", tmp_path / "traj.txt") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "traj.txt").exists()
+
+
 def test_spectrum_from_model(tmp_path, tiny_checkpoint):
     out = tmp_path / "spec.txt"
     assert run("spectrum", "--checkpoint", tiny_checkpoint, "--feature", 0,

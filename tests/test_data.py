@@ -16,10 +16,8 @@ from qnnff.data import (
     hydronium_geometry,
     hydronium_oracle,
     load_dataset,
-    load_external,
     mirror_augment,
     morse_oracle,
-    register_converter,
     save_dataset,
     train_test_split,
     triatomic_geometry,
@@ -516,12 +514,10 @@ def test_columns_are_read_only_copies():
 
 
 def test_datasets_are_checked_once_and_build_no_sample(monkeypatch, tmp_path):
-    """Generators, split, filter, mirror, load and row views construct no
-    checked ``Sample``; each dataset runs the row check once."""
-    built, checks = [], []
-    post_init, check_rows = Sample.__post_init__, data._check_rows
-    monkeypatch.setattr(Sample, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
+    """Generators, split, filter, mirror and load build their columns without
+    ``Sample`` rows, and each dataset runs the row check once; row views
+    add no check."""
+    checks, check_rows = [], data._check_rows
     monkeypatch.setattr(data, "_check_rows",
                         lambda *a: checks.append(a) or check_rows(*a))
     lih = generate_lih(170, mirror=True)            # the grid, then mirrored
@@ -533,7 +529,6 @@ def test_datasets_are_checked_once_and_build_no_sample(monkeypatch, tmp_path):
     loaded = load_dataset(tmp_path / "h3o.txt")
     for ds in (lih, h2o, h3o, *split, kept, mirrored, loaded):
         assert len(ds.samples) == len(ds)
-    assert built == []
     assert len(checks) == 10
 
 
@@ -568,33 +563,20 @@ def test_filter_bond_range():
     assert len(kept) < len(ds)
 
 
-def test_converter_stub(tmp_path):
-    path = tmp_path / "dump.txt"
-    path.write_text("1.0 2.0\n")
-
-    def parser(p):
-        r, e = np.loadtxt(p)
-        return [Sample(diatomic_geometry(r), e, None)], ("Li", "H")
-
-    register_converter("toy", parser)
-    ds = load_external(path, "toy")
-    assert len(ds) == 1
-    assert ds.provenance.startswith("converted:toy")
-    with pytest.raises(ArgumentError):
-        load_external(path, "unknown")
-
-
 def test_sample_validation():
-    with pytest.raises(DataError):
-        Sample(np.array([0.0, np.nan, 0.0]), 1.0)
-    with pytest.raises(DataError):
-        Sample(np.zeros(6), 1.0, np.zeros(3))
-    with pytest.raises(DataError):
-        Sample(np.zeros(6), 1.0, np.full(6, np.nan))
+    # a hand-built sample is a plain record, checked when it enters a Dataset
+    for bad in (Sample(np.array([0.0, np.nan, 0.0]), 1.0),
+                Sample(np.zeros(6), 1.0, np.zeros(3)),
+                Sample(np.zeros(6), 1.0, np.full(6, np.nan))):
+        with pytest.raises(DataError):
+            Dataset([bad], ("Li", "H"))
     with pytest.raises(DataError, match="do not fit 6 coordinates"):
         Dataset([Sample(np.zeros(9), 1.0)], ("Li", "H"))
     with pytest.raises(DataError, match="differ in their number"):
         Dataset([Sample(np.zeros(6), 1.0), Sample(np.zeros(9), 1.0)],
                 ("Li", "H"))
+    with pytest.raises(DataError, match="differ in their number"):
+        Dataset([Sample(np.zeros(6), 1.0, np.zeros(6)),
+                 Sample(np.zeros(6), 1.0, np.zeros(3))], ("Li", "H"))
     with pytest.raises(DataError, match="at least one sample"):
         Dataset([], ("Li", "H"))

@@ -142,6 +142,16 @@ def test_adam_monotone_on_convex_toy():
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
 
 
+def test_adam_stops_once_patience_runs_out():
+    # a flat loss stalls from the second epoch on, so patience 5 ends epoch 6
+    theta0 = np.array([0.3, -1.2])
+    theta, losses, epochs, converged = adam_minimize(
+        lambda th: (2.5, np.zeros_like(th)), theta0,
+        AdamConfig(max_steps=100, patience=5))
+    assert (epochs, len(losses), converged) == (6, 6, True)
+    assert np.array_equal(theta, theta0)
+
+
 def test_zero_gradient_start_is_fixed_point():
     model, data = small_lih_model()
     # unit scale / zero offset so relabelling with model predictions is
